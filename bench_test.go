@@ -141,7 +141,10 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 	defer e.work.ClearThemes()
 	m := matcher.New(semantics.NewSpace(e.ix))
 	br := broker.New(
-		broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+		broker.PreparedStream(
+			m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
+			m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
+			m.FinishEventBatch),
 		broker.WithThreshold(0.3), broker.WithReplayBuffer(0), broker.WithQueueSize(64))
 	var wg sync.WaitGroup
 	for _, s := range e.work.ApproxSubs {
@@ -479,7 +482,10 @@ func BenchmarkBrokerPublishPruned(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			m := matcher.New(semantics.NewSpace(e.ix))
 			br := broker.New(
-				broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+				broker.PreparedStream(
+					m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
+					m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
+					m.FinishEventBatch),
 				broker.WithPruning(pruning),
 				broker.WithThreshold(0.3), broker.WithReplayBuffer(0), broker.WithQueueSize(64))
 			var wg sync.WaitGroup

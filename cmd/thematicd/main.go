@@ -70,7 +70,6 @@ func run(args []string) error {
 		walSnap   = fs.Int("wal-snapshot", 4096, "with -data-dir: snapshot and truncate the WAL after this many appended records")
 		advertise = fs.String("advertise", "", "address peers dial for this broker (shard identity; defaults to -addr)")
 		parallel  = fs.Int("match-parallelism", 0, "matching worker pool size per publish (0 = GOMAXPROCS, 1 = serial)")
-		pruning   = fs.Bool("pruning", true, "prune per-publish candidates via the subscription index (recall-preserving)")
 		traceN    = fs.Int("trace-sample", 0, "record a pipeline trace for 1 in N published events (0 disables; see /debug/traces)")
 		drainT    = fs.Duration("drain-timeout", 5*time.Second, "max time to flush subscriber queues on SIGTERM before closing anyway")
 		shedMark  = fs.Int("shed-watermark", 0, "shed publishes with an overload error when the match pipeline is saturated and this many are in flight (0 disables)")
@@ -130,7 +129,6 @@ func run(args []string) error {
 		broker.WithThreshold(*threshold),
 		broker.WithReplayBuffer(*replay),
 		broker.WithQueueSize(*queue),
-		broker.WithPruning(*pruning),
 	}
 	if *parallel > 0 {
 		opts = append(opts, broker.WithMatchParallelism(*parallel))
@@ -150,11 +148,10 @@ func run(args []string) error {
 		detectionSLO = telemetry.NewSLO("detection", *sloObj, *sloT)
 		opts = append(opts, broker.WithDeliverySLO(deliverySLO))
 	}
-	// The PreparedStream adapter turns on the broker's prepare-once fast
-	// path (subscriptions canonicalized and theme-compiled at Subscribe
-	// time, events once per publish), columnar batch scoring of each
-	// event's candidate set, and the batch-scope interning/memo contexts
-	// behind PublishBatch.
+	// The PreparedStream adapter gives the broker prepare-once matching
+	// (subscriptions canonicalized and theme-compiled at Subscribe time),
+	// candidate pruning through the subscription index, and the
+	// batch-scope interning/memo contexts every publish runs through.
 	b := broker.New(broker.PreparedStream(
 		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
 		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,

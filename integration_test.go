@@ -26,9 +26,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	space := semantics.NewSpace(index.Build(corpus.GenerateDefault()))
 	m := matcher.New(space)
 
-	// Broker over TCP, on the prepared fast path with a worker pool.
+	// Broker over TCP, on the thematic matcher with a worker pool.
 	b := broker.New(
-		broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+		broker.PreparedStream(
+			m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
+			m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
+			m.FinishEventBatch),
 		broker.WithThreshold(0.52), broker.WithMatchParallelism(4))
 	defer b.Close()
 	srv := broker.NewServer(b)
@@ -139,7 +142,7 @@ func TestEndToEndSubscriptionLanguage(t *testing.T) {
 	}
 	space := semantics.NewSpace(index.Build(corpus.GenerateDefault()))
 	m := matcher.New(space)
-	b := broker.New(m, broker.WithThreshold(0.2))
+	b := broker.New(broker.MatchFunc(m.Score), broker.WithThreshold(0.2))
 	defer b.Close()
 
 	sub, err := event.ParseSubscription(

@@ -11,21 +11,32 @@
 //     subscriber has a bounded queue drained at its own pace, with a
 //     drop-oldest overflow policy surfaced in the statistics.
 //
+// # One matcher contract, one publish path
+//
+// The broker takes one matcher contract with two implementations:
+// PreparedStream adapts a matcher with typed prepare-once and batch-context
+// methods (the thematic matcher and its non-thematic variant), and
+// MatchFunc wraps a plain scoring function (the baselines and tests).
+// Every publish takes the same path, and Publish is a PublishBatch of one.
+// A publish opens one matching context, prepares and validates each event
+// through it, enumerates candidates, scores them in chunks, and hands each
+// matched subscriber its deliveries under one queue-lock acquisition.
+// Candidates come from the internal/subindex pruning index for
+// PreparedStream matchers (WithPruning, default on), which skips
+// subscriptions whose exact predicates the event cannot satisfy; MatchFunc
+// matchers are scored against every live subscription. Each subscription
+// is prepared once, at Subscribe, and subscribe-time replay scores through
+// the same context as a publish.
+//
 // # Concurrency
 //
-// The broker is safe for concurrent use. Publish fans the subscription set
-// out over a bounded worker pool (WithMatchParallelism, default
+// The broker is safe for concurrent use. A publish fans its candidate
+// chunks out over a bounded worker pool (WithMatchParallelism, default
 // GOMAXPROCS): the publishing goroutine always participates, helper
 // workers are drawn from a broker-wide budget shared by concurrent
 // publishes, and Publish returns only after every match decision and
-// delivery of its event is done — callers keep the synchronous contract.
-// Matchers implementing PreparedMatcher get the prepared fast path: each
-// subscription is prepared once at Subscribe time and each event once per
-// Publish, so the hot loop never recompiles themes or recanonicalizes
-// terms — and, with pruning on (WithPruning, default), the candidate set
-// itself comes from the internal/subindex pruning index instead of a full
-// scan, skipping subscriptions whose exact predicates this event cannot
-// satisfy. All Stats counters are atomics; no lock is held while matching.
+// delivery of its events is done — callers keep the synchronous contract.
+// All Stats counters are atomics; no lock is held while matching.
 package broker
 
 import (
@@ -43,134 +54,165 @@ import (
 	"thematicep/internal/telemetry"
 )
 
-// Matcher decides whether an event is relevant to a subscription and with
-// what score. matcher.Matcher (thematic or not) and the baselines satisfy
-// it via small adapters; see MatchFunc.
-type Matcher interface {
-	Score(s *event.Subscription, e *event.Event) float64
+// matchEngine is the broker's one matcher contract. Every publish (Publish
+// is a PublishBatch of one) opens a batch context, prepares and validates
+// each event through it, draws one scoring arena per worker, scores
+// candidate chunks straight off the subscriber slice, and closes the
+// context; subscribe-time replay scores through the same calls. Scores
+// must be bit-identical to the matcher's scalar scorer — the context only
+// amortizes work. PreparedStream's adapter and MatchFunc are the two
+// implementations.
+type matchEngine interface {
+	// prepareSub returns the form score reads off Subscriber.prepared. It
+	// runs once per subscription, at Subscribe.
+	prepareSub(s *event.Subscription) any
+	// pairwise reports a matcher that scores each (subscription, event)
+	// pair on its own: it gets no pruning index, because its exact-term
+	// semantics are unknown, and one candidate per work item, so a slow
+	// scorer still spreads over the worker pool.
+	pairwise() bool
+	// begin opens a batch context. The context is single-goroutine; arenas
+	// drawn from it may then be used concurrently, one goroutine each.
+	begin() any
+	// prepare prepares and validates e within the context and returns the
+	// canonical tuple terms the pruning index enumerates from.
+	prepare(ctx any, e *event.Event) (pe any, attrs, values []string, err error)
+	// arena draws one worker's scoring arena from the context.
+	arena(ctx any) any
+	// score appends one score per target, in order, to out.
+	score(arena any, targets []*Subscriber, pe any, out []float64) []float64
+	// finish closes the context and everything drawn from it, reporting
+	// terms interned vs reused and similarity rows computed vs reused.
+	finish(ctx any) (termsInterned, termsReused, rowsComputed, rowsReused uint64)
 }
 
-// MatchFunc adapts a plain function to the Matcher interface.
+// MatchFunc is a plain scoring function as a broker matcher (the baselines
+// and tests use it). The broker scores it against every live subscription
+// of every event, with no preparation and no pruning index.
 type MatchFunc func(s *event.Subscription, e *event.Event) float64
 
-// Score implements Matcher.
-func (f MatchFunc) Score(s *event.Subscription, e *event.Event) float64 { return f(s, e) }
-
-// PreparedMatcher extends Matcher with a prepare-once fast path. The
-// broker prepares every subscription at Subscribe time and every event
-// once per Publish, then scores through ScorePrepared in the hot loop —
-// the prepared forms are opaque to the broker. Implementations must allow
-// concurrent ScorePrepared calls on shared prepared values. Plain Matchers
-// (the baselines) keep working unchanged through the Score path.
-type PreparedMatcher interface {
-	Matcher
-	// PrepareSub returns an opaque prepared form of s, valid for the
-	// lifetime of this matcher.
-	PrepareSub(s *event.Subscription) any
-	// PrepareEv returns an opaque prepared form of e.
-	PrepareEv(e *event.Event) any
-	// ScorePrepared scores prepared forms produced by this matcher.
-	ScorePrepared(sub, ev any) float64
+func (MatchFunc) prepareSub(*event.Subscription) any { return nil }
+func (MatchFunc) pairwise() bool                     { return true }
+func (MatchFunc) begin() any                         { return nil }
+func (MatchFunc) arena(any) any                      { return nil }
+func (MatchFunc) prepare(_ any, e *event.Event) (any, []string, []string, error) {
+	return e, nil, nil, e.Validate()
 }
-
-// prepared adapts typed prepare-once methods to PreparedMatcher.
-type prepared[PS, PE any] struct {
-	score         func(*event.Subscription, *event.Event) float64
-	prepareSub    func(*event.Subscription) PS
-	prepareEv     func(*event.Event) PE
-	scorePrepared func(PS, PE) float64
-}
-
-func (p prepared[PS, PE]) Score(s *event.Subscription, e *event.Event) float64 {
-	return p.score(s, e)
-}
-func (p prepared[PS, PE]) PrepareSub(s *event.Subscription) any { return p.prepareSub(s) }
-func (p prepared[PS, PE]) PrepareEv(e *event.Event) any         { return p.prepareEv(e) }
-func (p prepared[PS, PE]) ScorePrepared(sub, ev any) float64 {
-	return p.scorePrepared(sub.(PS), ev.(PE))
-}
-
-// Prepared adapts a matcher exposing typed prepare-once methods (for
-// example *matcher.Matcher) to the PreparedMatcher interface, keeping the
-// broker decoupled from any concrete matcher package:
-//
-//	m := matcher.New(space)
-//	b := broker.New(broker.Prepared(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared))
-func Prepared[PS, PE any](
-	score func(*event.Subscription, *event.Event) float64,
-	prepareSub func(*event.Subscription) PS,
-	prepareEv func(*event.Event) PE,
-	scorePrepared func(PS, PE) float64,
-) PreparedMatcher {
-	return prepared[PS, PE]{
-		score:         score,
-		prepareSub:    prepareSub,
-		prepareEv:     prepareEv,
-		scorePrepared: scorePrepared,
+func (f MatchFunc) score(_ any, targets []*Subscriber, pe any, out []float64) []float64 {
+	e := pe.(*event.Event)
+	for _, s := range targets {
+		out = append(out, f(s.sub, e))
 	}
+	return out
+}
+func (MatchFunc) finish(any) (uint64, uint64, uint64, uint64) { return 0, 0, 0, 0 }
+
+// canonicalTupler is what PreparedStream needs of a prepared event: its
+// canonical tuple terms, which validate the event and feed the pruning
+// index (matcher.PreparedEvent implements it).
+type canonicalTupler interface {
+	CanonicalTuples() (attrs, values []string)
 }
 
-// BatchMatcher extends PreparedMatcher with columnar batch scoring: one
-// prepared event swept across a whole candidate batch, sharing per-term
-// similarity work between subscriptions. The broker batches dispatch
-// through it when available. Scores must be bit-identical to calling
-// ScorePrepared per subscription — batching is a performance capability,
-// never a semantic one — and concurrent ScoreBatchPrepared calls on shared
-// prepared values must be allowed.
-type BatchMatcher interface {
-	PreparedMatcher
-	// ScoreBatchPrepared appends one score per prepared subscription (in
-	// order) to out and returns it.
-	ScoreBatchPrepared(subs []any, ev any, out []float64) []float64
+// preparedStream adapts a matcher's typed prepare-once and batch-context
+// methods to matchEngine.
+type preparedStream[PS any, PE canonicalTupler, BC, BA any] struct {
+	prepSub     func(*event.Subscription) PS
+	newBatch    func() BC
+	prepEv      func(BC, *event.Event) PE
+	newArena    func(BC) BA
+	scoreArena  func(BA, []PS, PE, []float64) []float64
+	finishBatch func(BC) (uint64, uint64, uint64, uint64)
+	subsPool    sync.Pool // *[]PS scratch for the Subscriber -> PS conversion
 }
 
-// preparedBatch adapts typed batch-scoring methods to BatchMatcher. It is
-// a distinct type (not a field on prepared) so that a matcher adapted
-// through Prepared never spuriously satisfies the BatchMatcher assertion.
-type preparedBatch[PS, PE any] struct {
-	prepared[PS, PE]
-	scoreBatch func([]PS, PE, []float64) []float64
-	subsPool   sync.Pool // *[]PS scratch for the any -> PS conversion
+func (p *preparedStream[PS, PE, BC, BA]) prepareSub(s *event.Subscription) any { return p.prepSub(s) }
+func (p *preparedStream[PS, PE, BC, BA]) pairwise() bool                       { return false }
+func (p *preparedStream[PS, PE, BC, BA]) begin() any                           { return p.newBatch() }
+func (p *preparedStream[PS, PE, BC, BA]) arena(ctx any) any                    { return p.newArena(ctx.(BC)) }
+
+func (p *preparedStream[PS, PE, BC, BA]) prepare(ctx any, e *event.Event) (any, []string, []string, error) {
+	pe := p.prepEv(ctx.(BC), e)
+	attrs, values := pe.CanonicalTuples()
+	return pe, attrs, values, validateCanonical(e, attrs, values)
 }
 
-func (p *preparedBatch[PS, PE]) ScoreBatchPrepared(subs []any, ev any, out []float64) []float64 {
+func (p *preparedStream[PS, PE, BC, BA]) score(arena any, targets []*Subscriber, pe any, out []float64) []float64 {
 	bufp, _ := p.subsPool.Get().(*[]PS)
 	if bufp == nil {
 		bufp = new([]PS)
 	}
 	typed := (*bufp)[:0]
-	for _, s := range subs {
-		typed = append(typed, s.(PS))
+	for _, s := range targets {
+		typed = append(typed, s.prepared.(PS))
 	}
-	out = p.scoreBatch(typed, ev.(PE), out)
+	out = p.scoreArena(arena.(BA), typed, pe.(PE), out)
 	clear(typed) // drop prepared-subscription references before pooling
 	*bufp = typed[:0]
 	p.subsPool.Put(bufp)
 	return out
 }
 
-// PreparedBatch is Prepared plus a typed batch scorer (for example
-// *matcher.Matcher's ScoreBatch):
+func (p *preparedStream[PS, PE, BC, BA]) finish(ctx any) (uint64, uint64, uint64, uint64) {
+	return p.finishBatch(ctx.(BC))
+}
+
+// PreparedStream adapts a matcher with typed prepare-once and batch-context
+// methods (for example *matcher.Matcher's EventBatch machinery) to the
+// broker, which can then prune candidates through the subscription index
+// (WithPruning):
 //
 //	m := matcher.New(space)
-//	b := broker.New(broker.PreparedBatch(
-//		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch))
-func PreparedBatch[PS, PE any](
+//	b := broker.New(broker.PreparedStream(
+//		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
+//		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
+//		m.FinishEventBatch))
+//
+// The broker calls prepareSub, newBatch, prepareEvBatch, newArena,
+// scoreBatchArena and finishBatch. It no longer calls score, prepareEv,
+// scorePrepared or scoreBatch, which stay in the signature so existing
+// callers compile unchanged; they may be nil.
+func PreparedStream[PS any, PE canonicalTupler, BC, BA any](
 	score func(*event.Subscription, *event.Event) float64,
 	prepareSub func(*event.Subscription) PS,
 	prepareEv func(*event.Event) PE,
 	scorePrepared func(PS, PE) float64,
 	scoreBatch func([]PS, PE, []float64) []float64,
-) PreparedMatcher {
-	return &preparedBatch[PS, PE]{
-		prepared: prepared[PS, PE]{
-			score:         score,
-			prepareSub:    prepareSub,
-			prepareEv:     prepareEv,
-			scorePrepared: scorePrepared,
-		},
-		scoreBatch: scoreBatch,
+	newBatch func() BC,
+	prepareEvBatch func(BC, *event.Event) PE,
+	newArena func(BC) BA,
+	scoreBatchArena func(BA, []PS, PE, []float64) []float64,
+	finishBatch func(BC) (termsInterned, termsReused, rowsComputed, rowsReused uint64),
+) matchEngine {
+	return &preparedStream[PS, PE, BC, BA]{
+		prepSub:     prepareSub,
+		newBatch:    newBatch,
+		prepEv:      prepareEvBatch,
+		newArena:    newArena,
+		scoreArena:  scoreBatchArena,
+		finishBatch: finishBatch,
 	}
+}
+
+// validateCanonical checks Event.Validate's invariants from already
+// canonicalized tuple terms, so a prepared event is never canonicalized
+// twice (tuple counts are small, so the quadratic duplicate scan beats a
+// map).
+func validateCanonical(e *event.Event, attrs, values []string) error {
+	if len(attrs) == 0 {
+		return event.ErrNoTuples
+	}
+	for i, a := range attrs {
+		if a == "" || values[i] == "" {
+			return fmt.Errorf("%w: %q", event.ErrEmptyTerm, e.Tuples[i])
+		}
+		for j := 0; j < i; j++ {
+			if attrs[j] == a {
+				return fmt.Errorf("%w: %q", event.ErrDuplicateAttr, e.Tuples[i].Attr)
+			}
+		}
+	}
+	return nil
 }
 
 // Delivery is one matched event handed to a subscriber.
@@ -193,7 +235,7 @@ type Delivery struct {
 
 // Stats are broker counters; all values are cumulative.
 type Stats struct {
-	Published   uint64 // events accepted by Publish
+	Published   uint64 // events accepted by Publish or PublishBatch
 	Shed        uint64 // publishes rejected by load shedding (ErrOverloaded)
 	Scanned     uint64 // (event, subscription) pairs scored by the matcher
 	Pruned      uint64 // pairs skipped by the pruning index (provably score 0)
@@ -202,12 +244,12 @@ type Stats struct {
 	Dropped     uint64 // deliveries dropped due to full subscriber queues
 	Subscribers int    // currently active subscriptions
 
-	// Batched-publish amortization counters (PublishBatch only). Terms
-	// counts are raw-term canonicalizations served from the batch interner
-	// (reused) vs computed fresh (interned); rows counts are similarity
-	// rows served from the batch-scope arena memo vs computed through the
-	// semantic kernel. High reuse ratios are the whole point of batching.
-	Batches            uint64 // PublishBatch calls accepted
+	// Pipeline passes and their amortization counters. Every accepted
+	// Publish or PublishBatch call is one pass. Terms counts are raw-term
+	// canonicalizations served from the pass's interner (reused) vs
+	// computed fresh (interned); rows counts are similarity rows served
+	// from the pass's arena memos vs computed through the semantic kernel.
+	Batches            uint64 // pipeline passes: accepted Publish or PublishBatch calls
 	BatchTermsInterned uint64 // distinct raw terms canonicalized fresh
 	BatchTermsReused   uint64 // raw-term canonicalizations served from the interner
 	BatchRowsComputed  uint64 // similarity rows computed through the kernel
@@ -278,10 +320,10 @@ type parallelismOption int
 
 func (o parallelismOption) apply(c *config) { c.parallelism = int(o) }
 
-// WithMatchParallelism bounds the worker pool Publish fans the
-// subscription set out over (default GOMAXPROCS; 1 disables the pool and
-// matches serially on the publisher's goroutine). The bound is broker-wide:
-// concurrent Publish calls share one helper budget, so total matching
+// WithMatchParallelism bounds the worker pool a publish fans its candidate
+// chunks out over (default GOMAXPROCS; 1 disables the pool and matches
+// serially on the publisher's goroutine). The bound is broker-wide:
+// concurrent publishes share one helper budget, so total matching
 // goroutines never exceed the limit regardless of publisher count.
 func WithMatchParallelism(n int) Option { return parallelismOption(n) }
 
@@ -346,30 +388,31 @@ func (o shedWatermarkOption) apply(c *config) { c.shedWatermark = int(o) }
 func WithShedWatermark(n int) Option { return shedWatermarkOption(n) }
 
 // WithPruning enables or disables the subscription pruning index (default
-// on). When on, Publish builds its candidate set from the event's tuple
-// terms via internal/subindex instead of scanning every subscription;
-// skipped subscriptions provably score 0 under the §3.4 exact-term
-// contract, so delivery sets are identical to the unpruned scan (see the
-// subindex package documentation for the argument). Pruning engages only
-// for matchers implementing PreparedMatcher — the thematic matcher and its
-// non-thematic variant — because those honor the contract; plain Matcher
-// baselines are always scanned in full. Disable it for a PreparedMatcher
-// whose exact-term semantics are looser than canonical equality.
+// on). When on, a publish builds each event's candidate set from its
+// canonical tuple terms via internal/subindex instead of scanning every
+// subscription; skipped subscriptions provably score 0 under the §3.4
+// exact-term contract, so delivery sets are identical to the unpruned scan
+// (see the subindex package documentation for the argument). Pruning
+// engages only for PreparedStream matchers — the thematic matcher and its
+// non-thematic variant — because those honor the contract; MatchFunc
+// matchers are always scanned in full. WithPruning(false) runs the full
+// scan, which the scale experiment uses to check that pruning changes no
+// match.
 func WithPruning(enabled bool) Option { return pruningOption(enabled) }
 
 // Broker routes published events to matching subscribers. It is safe for
 // concurrent use. Close releases all subscribers.
 type Broker struct {
-	matcher Matcher
-	prep    PreparedMatcher // non-nil when matcher supports prepare-once
-	batch   BatchMatcher    // non-nil when matcher also supports batch scoring
-	stream  StreamMatcher   // non-nil when matcher also supports batch-scope contexts
-	streamT targetScorer    // non-nil when stream also scores []*Subscriber directly
-	cfg     config
+	m   matchEngine
+	cfg config
 
 	// index prunes the per-publish candidate set (WithPruning); non-nil
-	// only when pruning is on and the matcher supports prepare-once.
+	// only when pruning is on and the matcher is not pairwise.
 	index *subindex.Index[*Subscriber]
+
+	// chunk is the number of candidates in one scoring work item:
+	// batchChunkSize, or 1 for a pairwise matcher.
+	chunk int
 
 	// sem is the broker-wide helper-worker budget (capacity
 	// parallelism-1); acquisition is non-blocking, so a saturated pool
@@ -400,7 +443,7 @@ type Broker struct {
 	batchRowsReused    atomic.Uint64
 
 	// Drain/shutdown coordination: draining refuses new publishes while
-	// inflight tracks the Publish calls still running, so Drain can wait
+	// inflight tracks the publishes still running, so Drain can wait
 	// for the pipeline to empty without holding b.mu across matching.
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -411,13 +454,13 @@ type Broker struct {
 	clock         telemetry.Clock
 	tracer        *telemetry.Tracer
 	deliverySLO   *telemetry.SLO       // nil unless WithDeliverySLO enabled it
-	publishHist   *telemetry.Histogram // end-to-end Publish latency
+	publishHist   *telemetry.Histogram // end-to-end publish latency
 	compileHist   *telemetry.Histogram // event preparation (theme compile)
 	enumerateHist *telemetry.Histogram // candidate enumeration
 	scoreHist     *telemetry.Histogram // matching fan-out (score stage)
-	deliverHist   *telemetry.Histogram // per-delivery queue handoff
+	deliverHist   *telemetry.Histogram // coalesced queue handoffs
 	candHist      *telemetry.Histogram // candidate-set size distribution
-	batchSizeHist *telemetry.Histogram // PublishBatch batch-size distribution
+	batchSizeHist *telemetry.Histogram // events per publish call
 
 	mu     sync.RWMutex
 	subs   map[string]*Subscriber
@@ -448,9 +491,9 @@ var (
 	ErrOverloaded = errors.New("broker: overloaded, publish shed")
 )
 
-// New builds a broker around a matcher. Matchers also implementing
-// PreparedMatcher (see Prepared) get the prepare-once fast path.
-func New(m Matcher, opts ...Option) *Broker {
+// New builds a broker around a matcher: a PreparedStream adapter or a
+// MatchFunc.
+func New(m matchEngine, opts ...Option) *Broker {
 	cfg := config{
 		threshold:   0.05,
 		queueSize:   64,
@@ -469,8 +512,9 @@ func New(m Matcher, opts ...Option) *Broker {
 	}
 	lat := telemetry.LatencyBuckets()
 	b := &Broker{
-		matcher:     m,
+		m:           m,
 		cfg:         cfg,
+		chunk:       batchChunkSize,
 		subs:        make(map[string]*Subscriber),
 		pubBufs:     make(chan *pubBatchBuf, pubBufLimit),
 		clock:       cfg.clock,
@@ -478,7 +522,7 @@ func New(m Matcher, opts ...Option) *Broker {
 		tracer: telemetry.NewTracer(cfg.traceEvery,
 			append([]telemetry.TracerOption{telemetry.WithClock(cfg.clock)}, cfg.traceOpts...)...),
 		publishHist: telemetry.NewHistogram("thematicep_broker_publish_seconds",
-			"End-to-end Publish latency (ingest through last delivery).", lat),
+			"End-to-end publish latency per Publish or PublishBatch call (ingest through last delivery).", lat),
 		compileHist: telemetry.NewHistogram("thematicep_broker_compile_seconds",
 			"Event preparation latency (canonicalization and theme compile).", lat),
 		enumerateHist: telemetry.NewHistogram("thematicep_broker_enumerate_seconds",
@@ -486,25 +530,15 @@ func New(m Matcher, opts ...Option) *Broker {
 		scoreHist: telemetry.NewHistogram("thematicep_broker_score_seconds",
 			"Matching fan-out latency per event (all candidate scorings).", lat),
 		deliverHist: telemetry.NewHistogram("thematicep_broker_deliver_seconds",
-			"Per-delivery queue handoff latency.", lat),
+			"Delivery stage latency per publish call (coalesced per-subscriber queue handoffs).", lat),
 		candHist: telemetry.NewHistogram("thematicep_subindex_candidates_per_event",
 			"Candidates enumerated per published event (after pruning).", telemetry.SizeBuckets()),
 		batchSizeHist: telemetry.NewHistogram("thematicep_publish_batch_size",
-			"Events per accepted PublishBatch call.", telemetry.SizeBuckets()),
+			"Events per accepted Publish or PublishBatch call.", telemetry.SizeBuckets()),
 	}
-	if pm, ok := m.(PreparedMatcher); ok {
-		b.prep = pm
-	}
-	if bm, ok := m.(BatchMatcher); ok {
-		b.batch = bm
-	}
-	if sm, ok := m.(StreamMatcher); ok {
-		b.stream = sm
-		if ts, ok := m.(targetScorer); ok {
-			b.streamT = ts
-		}
-	}
-	if cfg.pruning && b.prep != nil {
+	if m.pairwise() {
+		b.chunk = 1
+	} else if cfg.pruning {
 		b.index = subindex.New[*Subscriber]()
 	}
 	if cfg.parallelism > 1 {
@@ -517,7 +551,7 @@ func New(m Matcher, opts ...Option) *Broker {
 type Subscriber struct {
 	id       string
 	sub      *event.Subscription
-	prepared any // prepare-once form, when the matcher supports it
+	prepared any // the matcher's prepare-once form (nil for a MatchFunc)
 	ch       chan Delivery
 	broker   *Broker
 
@@ -585,10 +619,7 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		opt.applySub(&sc)
 	}
 	// Prepare outside the lock: theme compilation may be expensive.
-	var prep any
-	if b.prep != nil {
-		prep = b.prep.PrepareSub(sub)
-	}
+	prep := b.m.prepareSub(sub)
 
 	b.mu.Lock()
 	if b.closed {
@@ -632,19 +663,30 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		b.cfg.journal.Subscribed(id, &cp)
 	}
 
-	// Replay outside the lock: matching may be expensive.
-	for _, e := range backlog {
-		var score float64
-		if b.prep != nil {
-			score = b.prep.ScorePrepared(prep, b.prep.PrepareEv(e))
-		} else {
-			score = b.matcher.Score(sub, e)
-		}
-		if score >= b.cfg.threshold && score > 0 {
-			b.offer(s, Delivery{Event: e, SubscriptionID: id, Score: score, Replayed: true, At: b.clock.Now()})
-		}
+	if len(backlog) > 0 {
+		// Replay outside the lock: matching may be expensive.
+		b.replayTo(s, backlog)
 	}
 	return s, nil
+}
+
+// replayTo scores a new subscriber against the replay backlog through one
+// batch context, exactly as a publish scores it, and delivers the matches
+// marked Replayed.
+func (b *Broker) replayTo(s *Subscriber, backlog []*event.Event) {
+	ctx := b.m.begin()
+	arena := b.m.arena(ctx)
+	target := []*Subscriber{s}
+	var scores []float64
+	for _, e := range backlog {
+		// Replayed events were validated when they were published.
+		pe, _, _, _ := b.m.prepare(ctx, e)
+		scores = b.m.score(arena, target, pe, scores[:0])
+		if sc := scores[0]; sc >= b.cfg.threshold && sc > 0 {
+			b.offer(s, Delivery{Event: e, SubscriptionID: s.id, Score: sc, Replayed: true, At: b.clock.Now()})
+		}
+	}
+	b.m.finish(ctx)
 }
 
 func (b *Broker) unsubscribe(id string) {
@@ -668,279 +710,6 @@ func (b *Broker) unsubscribe(id string) {
 			b.cfg.journal.Unsubscribed(id)
 		}
 	}
-}
-
-// Publish matches the event against every subscription and enqueues
-// deliveries, fanning the subscription set out over the bounded worker
-// pool (WithMatchParallelism). It returns only after every match decision
-// and delivery of this event is done, and it never blocks on slow
-// consumers: when a subscriber's queue is full, the oldest queued delivery
-// is dropped (counted in Stats.Dropped).
-func (b *Broker) Publish(e *event.Event) error {
-	t0 := b.clock.Now()
-	if e == nil {
-		return ErrNilEvent
-	}
-	if err := e.Validate(); err != nil {
-		return fmt.Errorf("broker: publish: %w", err)
-	}
-	// Admission control. The inflight count is incremented before the
-	// draining check so Drain's wait-for-zero cannot miss a racing
-	// publish: any Publish that passes the check is visible to the poll.
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	if b.draining.Load() {
-		return ErrDraining
-	}
-	if w := b.cfg.shedWatermark; w > 0 && b.sem != nil &&
-		len(b.sem) == cap(b.sem) && b.inflight.Load() > int64(w) {
-		// The helper budget is exhausted and more publishes are in flight
-		// than the watermark allows: shed this one instead of queueing
-		// onto a saturated matcher. Counted, surfaced, never silent.
-		b.shed.Add(1)
-		return ErrOverloaded
-	}
-	trace := b.tracer.StartAt(e.ID, t0)
-
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	if b.cfg.replaySize > 0 {
-		b.replay = append(b.replay, e)
-		if len(b.replay) > b.cfg.replaySize {
-			b.replay = b.replay[len(b.replay)-b.cfg.replaySize:]
-		}
-	}
-	var targets []*Subscriber
-	empty := len(b.subs) == 0
-	if b.index == nil {
-		targets = make([]*Subscriber, 0, len(b.subs))
-		for _, s := range b.subs {
-			targets = append(targets, s)
-		}
-	}
-	b.mu.Unlock()
-
-	b.published.Add(1)
-	trace.AddSpan("ingest", t0)
-
-	tCompile := b.clock.Now()
-	var pe any
-	if b.prep != nil && !empty {
-		// Prepare the event once: every worker shares the canonical terms
-		// and compiled theme instead of recomputing them per subscription.
-		pe = b.prep.PrepareEv(e)
-	}
-	tEnum := b.clock.Now()
-	b.compileHist.ObserveDuration(tEnum.Sub(tCompile))
-	trace.AddSpanDuration("compile", tCompile, tEnum.Sub(tCompile))
-
-	if b.index != nil && !empty {
-		// Candidate set from the pruning index: subscriptions whose exact
-		// predicates cannot all be satisfied by this event's tuples are
-		// skipped before any semantic measure runs. The prepared event's
-		// canonical terms feed the index directly when available.
-		add := func(s *Subscriber) { targets = append(targets, s) }
-		var pruned int
-		if ct, ok := pe.(canonicalTupler); ok {
-			attrs, values := ct.CanonicalTuples()
-			_, pruned = b.index.CandidatesPrepared(attrs, values, add)
-		} else {
-			_, pruned = b.index.Candidates(e, add)
-		}
-		b.pruned.Add(uint64(pruned))
-	}
-	tScore := b.clock.Now()
-	b.enumerateHist.ObserveDuration(tScore.Sub(tEnum))
-	trace.AddSpanDuration("enumerate", tEnum, tScore.Sub(tEnum))
-	b.candHist.Observe(float64(len(targets)))
-
-	b.scanned.Add(uint64(len(targets)))
-	if b.batch != nil && pe != nil {
-		b.dispatchBatch(targets, e, pe, trace)
-	} else {
-		b.dispatch(targets, e, pe, trace)
-	}
-	end := b.clock.Now()
-	b.scoreHist.ObserveDuration(end.Sub(tScore))
-	trace.AddSpanDuration("score", tScore, end.Sub(tScore))
-	b.publishHist.ObserveDuration(end.Sub(t0))
-	b.deliverySLO.Observe(end.Sub(t0))
-	trace.Finish()
-	return nil
-}
-
-// canonicalTupler is the optional prepared-event capability the pruning
-// index exploits: pre-canonicalized tuple terms (matcher.PreparedEvent
-// implements it).
-type canonicalTupler interface {
-	CanonicalTuples() (attrs, values []string)
-}
-
-// dispatch scores an event against every target subscriber. With
-// parallelism n > 1, up to n-1 helper workers are drawn from the
-// broker-wide budget and the publisher goroutine always works too; workers
-// pull targets off a shared atomic cursor, so the set is partitioned
-// dynamically and each subscriber is matched exactly once.
-func (b *Broker) dispatch(targets []*Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	n := len(targets)
-	if n == 0 {
-		return
-	}
-	workers := b.cfg.parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || b.sem == nil {
-		for _, s := range targets {
-			b.matchOne(s, e, pe, trace)
-		}
-		return
-	}
-
-	var cursor atomic.Int64
-	run := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			b.matchOne(targets[i], e, pe, trace)
-		}
-	}
-	var wg sync.WaitGroup
-spawn:
-	for w := 1; w < workers; w++ {
-		select {
-		case b.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-b.sem }()
-				run()
-			}()
-		default:
-			// Helper budget exhausted by concurrent publishes: the
-			// publisher goroutine absorbs the remainder.
-			break spawn
-		}
-	}
-	run()
-	wg.Wait()
-}
-
-// matchOne scores one (event, subscription) pair and enqueues the delivery
-// on a match. Prepared forms are used when the matcher supports them.
-func (b *Broker) matchOne(s *Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	var score float64
-	if pe != nil && s.prepared != nil {
-		score = b.prep.ScorePrepared(s.prepared, pe)
-	} else {
-		score = b.matcher.Score(s.sub, e)
-	}
-	b.deliverScored(s, e, score, trace)
-}
-
-// deliverScored applies the threshold and enqueues the delivery — the
-// shared tail of the serial and batch match paths.
-func (b *Broker) deliverScored(s *Subscriber, e *event.Event, score float64, trace *telemetry.ActiveTrace) {
-	if score < b.cfg.threshold || score <= 0 {
-		return
-	}
-	b.matched.Add(1)
-	t0 := b.clock.Now()
-	b.offer(s, Delivery{Event: e, SubscriptionID: s.id, Score: score, At: t0})
-	d := b.clock.Now().Sub(t0)
-	b.deliverHist.ObserveDuration(d)
-	trace.AddSpanDuration("deliver", t0, d)
-}
-
-// batchChunkSize is the unit of work the batch dispatcher hands a worker:
-// large enough that the per-chunk row memo amortizes across many
-// subscriptions, small enough that the worker pool still load-balances a
-// skewed candidate set.
-const batchChunkSize = 256
-
-// batchScoreBuf is the pooled per-chunk scratch of the batch dispatcher.
-type batchScoreBuf struct {
-	subs   []any
-	scores []float64
-}
-
-var batchScorePool = sync.Pool{New: func() any { return new(batchScoreBuf) }}
-
-// dispatchBatch is dispatch through the matcher's columnar batch scorer:
-// workers pull fixed-size chunks of the candidate set off a shared atomic
-// cursor and score each chunk in one ScoreBatchPrepared sweep. Requires a
-// prepared event (pe non-nil), which implies every subscriber carries a
-// prepared form.
-func (b *Broker) dispatchBatch(targets []*Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	n := len(targets)
-	if n == 0 {
-		return
-	}
-	chunks := (n + batchChunkSize - 1) / batchChunkSize
-	workers := b.cfg.parallelism
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 || b.sem == nil {
-		for lo := 0; lo < n; lo += batchChunkSize {
-			b.matchBatch(targets[lo:min(lo+batchChunkSize, n)], e, pe, trace)
-		}
-		return
-	}
-
-	var cursor atomic.Int64
-	run := func() {
-		for {
-			c := int(cursor.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * batchChunkSize
-			b.matchBatch(targets[lo:min(lo+batchChunkSize, n)], e, pe, trace)
-		}
-	}
-	var wg sync.WaitGroup
-spawn:
-	for w := 1; w < workers; w++ {
-		select {
-		case b.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-b.sem }()
-				run()
-			}()
-		default:
-			// Helper budget exhausted by concurrent publishes: the
-			// publisher goroutine absorbs the remainder.
-			break spawn
-		}
-	}
-	run()
-	wg.Wait()
-}
-
-// matchBatch scores one contiguous chunk of candidates in a single batch
-// sweep and enqueues the resulting deliveries.
-func (b *Broker) matchBatch(chunk []*Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	buf := batchScorePool.Get().(*batchScoreBuf)
-	subs := buf.subs[:0]
-	for _, s := range chunk {
-		subs = append(subs, s.prepared)
-	}
-	scores := b.batch.ScoreBatchPrepared(subs, pe, buf.scores[:0])
-	for i, s := range chunk {
-		b.deliverScored(s, e, scores[i], trace)
-	}
-	clear(subs) // drop subscriber references before pooling
-	buf.subs = subs[:0]
-	buf.scores = scores[:0]
-	batchScorePool.Put(buf)
 }
 
 // offer enqueues a delivery, dropping the oldest entry when full
@@ -969,7 +738,7 @@ func (b *Broker) offer(s *Subscriber, d Delivery) {
 // Stats returns a snapshot of the broker counters, taken in one pass
 // with no lock held across the counter loads.
 //
-// Counter consistency under concurrent Publish: each counter is advanced
+// Counter consistency under concurrent publishes: each counter is advanced
 // downstream-first relative to this snapshot's load order — deliveries and
 // drops are loaded before matches, matches before scans — and in the
 // pipeline itself every Matched increment happens before its delivery is
@@ -978,8 +747,8 @@ func (b *Broker) offer(s *Subscriber, d Delivery) {
 // counted in Delivered but have no live match), Delivered <= Matched holds
 // in every snapshot, with at most a transient deficit (a match counted
 // whose delivery lands after the scrape). The same holds pairwise up the
-// pipeline: Matched <= Scanned and, per event, scans are counted before
-// dispatch begins.
+// pipeline: Matched <= Scanned, because a publish counts its scans before
+// its matches.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	subscribers := len(b.subs)

@@ -11,7 +11,7 @@ import (
 )
 
 // exactMatcher is a deterministic test matcher: score 1 on exact match.
-func exactMatcher() Matcher {
+func exactMatcher() MatchFunc {
 	return MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
 		if event.ExactMatch(s, e) {
 			return 1

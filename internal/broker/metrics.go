@@ -53,14 +53,14 @@ func WriteGaugeVec(w io.Writer, name, help string, labels []telemetry.Label, val
 // another endpoint.
 func (b *Broker) WriteMetrics(w io.Writer) {
 	st := b.Stats()
-	WriteCounter(w, "thematicep_broker_published_total", "Events accepted by Publish.", st.Published)
+	WriteCounter(w, "thematicep_broker_published_total", "Events accepted by Publish or PublishBatch.", st.Published)
 	WriteCounter(w, "thematicep_broker_shed_total", "Publishes rejected by load shedding (saturated match pipeline).", st.Shed)
 	WriteCounter(w, "thematicep_broker_scanned_total", "Event-subscription pairs scored by the matcher.", st.Scanned)
 	WriteCounter(w, "thematicep_broker_pruned_total", "Pairs skipped by the pruning index (provably score 0).", st.Pruned)
 	WriteCounter(w, "thematicep_broker_matched_total", "Event-subscription matches.", st.Matched)
 	WriteCounter(w, "thematicep_broker_delivered_total", "Deliveries enqueued to subscribers.", st.Delivered)
 	WriteCounter(w, "thematicep_broker_dropped_total", "Deliveries dropped by the overflow policy.", st.Dropped)
-	WriteCounter(w, "thematicep_broker_batches_total", "Batches accepted by PublishBatch.", st.Batches)
+	WriteCounter(w, "thematicep_broker_batches_total", "Pipeline passes: accepted Publish or PublishBatch calls.", st.Batches)
 	WriteCounter(w, "thematicep_broker_batch_terms_interned_total", "Terms canonicalized fresh by the batch interner.", st.BatchTermsInterned)
 	WriteCounter(w, "thematicep_broker_batch_terms_reused_total", "Term canonicalizations served from the batch interner.", st.BatchTermsReused)
 	WriteCounter(w, "thematicep_broker_batch_rows_computed_total", "Similarity rows computed by the batch-scope memo.", st.BatchRowsComputed)

@@ -3,7 +3,6 @@ package broker
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"thematicep/internal/event"
@@ -13,15 +12,15 @@ import (
 // event value j scores 1 against subscription value k when k divides j,
 // and a sub-threshold 0.2 otherwise, so every subscriber matches a
 // different subset of the event stream.
-func divisibilityMatcher() Matcher {
-	return MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
+func divisibilityMatcher() MatchFunc {
+	return func(s *event.Subscription, e *event.Event) float64 {
 		k, _ := strconv.Atoi(s.Predicates[0].Value)
 		j, _ := strconv.Atoi(e.Tuples[0].Value)
 		if k > 0 && j%k == 0 {
 			return 1
 		}
 		return 0.2
-	})
+	}
 }
 
 // publishAndCollect runs nEvents through a broker with the given match
@@ -71,118 +70,38 @@ func publishAndCollect(t *testing.T, parallelism, nSubs, nEvents int) (map[strin
 	return got, b.Stats()
 }
 
-// TestPublishParallelMatchesSerial checks that the worker-pool dispatch is
-// an invisible optimization: with 4 workers every subscriber receives
-// exactly the deliveries (and the broker exactly the stats) of the serial
-// broker. Per-subscriber delivery order is also preserved, because events
-// are published one at a time and each subscriber has a FIFO queue.
+// TestPublishParallelMatchesSerial checks that the worker pool is an
+// invisible optimization: with 4 workers every subscriber receives
+// exactly the deliveries (and the broker exactly the stats) of a
+// single-worker broker, and exactly the events its divisor divides.
+// Per-subscriber delivery order is also preserved, because events are
+// published one at a time and each subscriber has a FIFO queue.
 func TestPublishParallelMatchesSerial(t *testing.T) {
 	const nSubs, nEvents = 8, 60
 	serial, serialStats := publishAndCollect(t, 1, nSubs, nEvents)
 	par, parStats := publishAndCollect(t, 4, nSubs, nEvents)
 
-	for id, want := range serial {
-		got := par[id]
-		if len(got) != len(want) {
-			t.Fatalf("sub %s: parallel delivered %d events, serial %d", id, len(got), len(want))
+	for k := 1; k <= nSubs; k++ {
+		id := fmt.Sprintf("s%d", k)
+		var want []string
+		for j := k; j <= nEvents; j += k {
+			want = append(want, fmt.Sprintf("e%d", j))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("sub %s delivery %d: parallel %s, serial %s", id, i, got[i], want[i])
+		for _, run := range []struct {
+			name string
+			got  []string
+		}{{"serial", serial[id]}, {"parallel", par[id]}} {
+			if len(run.got) != len(want) {
+				t.Fatalf("sub %s: %s delivered %d events, want %d", id, run.name, len(run.got), len(want))
+			}
+			for i := range want {
+				if run.got[i] != want[i] {
+					t.Errorf("sub %s delivery %d: %s %s, want %s", id, i, run.name, run.got[i], want[i])
+				}
 			}
 		}
 	}
 	if parStats != serialStats {
 		t.Errorf("stats: parallel %+v, serial %+v", parStats, serialStats)
-	}
-	// Sanity: the workload actually exercises distinct match sets.
-	if len(serial["s1"]) != nEvents || len(serial["s2"]) != nEvents/2 {
-		t.Errorf("unexpected serial match sets: s1=%d s2=%d", len(serial["s1"]), len(serial["s2"]))
-	}
-}
-
-// TestPreparedAdapterPreparesOnce checks the prepare-once contract of the
-// fast path: each subscription is prepared exactly once at Subscribe time,
-// each event exactly once per Publish, and all scoring goes through
-// ScorePrepared — the raw Score is never consulted.
-func TestPreparedAdapterPreparesOnce(t *testing.T) {
-	var subPrepares, evPrepares, preparedScores, rawScores atomic.Int64
-	m := Prepared(
-		func(s *event.Subscription, e *event.Event) float64 {
-			rawScores.Add(1)
-			return 1
-		},
-		func(s *event.Subscription) string {
-			subPrepares.Add(1)
-			return s.ID
-		},
-		func(e *event.Event) string {
-			evPrepares.Add(1)
-			return e.ID
-		},
-		func(ps, pe string) float64 {
-			preparedScores.Add(1)
-			return 1
-		},
-	)
-	b := New(m, WithReplayBuffer(0), WithMatchParallelism(4))
-	defer b.Close()
-
-	const nSubs, nEvents = 3, 10
-	for i := 0; i < nSubs; i++ {
-		if _, err := b.Subscribe(parkingSub()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < nEvents; i++ {
-		if err := b.Publish(parkingEvent(fmt.Sprintf("p%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := subPrepares.Load(); n != nSubs {
-		t.Errorf("subscription prepares = %d, want %d", n, nSubs)
-	}
-	if n := evPrepares.Load(); n != nEvents {
-		t.Errorf("event prepares = %d, want %d", n, nEvents)
-	}
-	if n := preparedScores.Load(); n != nSubs*nEvents {
-		t.Errorf("prepared scores = %d, want %d", n, nSubs*nEvents)
-	}
-	if n := rawScores.Load(); n != 0 {
-		t.Errorf("raw Score called %d times on the prepared path", n)
-	}
-	if st := b.Stats(); st.Matched != nSubs*nEvents {
-		t.Errorf("matched = %d, want %d", st.Matched, nSubs*nEvents)
-	}
-}
-
-// TestPreparedReplayUsesPreparedPath checks that replay on Subscribe also
-// scores through the prepared adapter.
-func TestPreparedReplayUsesPreparedPath(t *testing.T) {
-	var rawScores atomic.Int64
-	m := Prepared(
-		func(s *event.Subscription, e *event.Event) float64 { rawScores.Add(1); return 1 },
-		func(s *event.Subscription) string { return s.ID },
-		func(e *event.Event) string { return e.ID },
-		func(ps, pe string) float64 { return 1 },
-	)
-	b := New(m)
-	defer b.Close()
-	for i := 0; i < 3; i++ {
-		if err := b.Publish(parkingEvent(fmt.Sprintf("p%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := b.Subscribe(parkingSub(), WithReplay(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if d := recvDelivery(t, s.C()); !d.Replayed {
-			t.Errorf("delivery %d not replayed", i)
-		}
-	}
-	if n := rawScores.Load(); n != 0 {
-		t.Errorf("raw Score called %d times during replay", n)
 	}
 }

@@ -27,9 +27,13 @@ func evalSpace(t testing.TB) *semantics.Space {
 	return pruneSpace
 }
 
-func preparedThematic(t testing.TB) PreparedMatcher {
+// thematicMatcher is the thematic matcher wired as thematicd wires it.
+func thematicMatcher(t testing.TB) matchEngine {
 	m := matcher.New(evalSpace(t))
-	return Prepared(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared)
+	return PreparedStream(
+		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
+		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
+		m.FinishEventBatch)
 }
 
 // mixedThemeWorkload builds a seeded workload whose events and
@@ -75,49 +79,6 @@ type deliveryKey struct {
 	Score   float64
 }
 
-// runBroker subscribes every subscription, publishes every event
-// (unsubscribing a third of the subscriptions halfway through to exercise
-// index removal), then closes the broker and returns the full delivery set
-// plus the final stats.
-func runBroker(t *testing.T, subs []*event.Subscription, events []*event.Event, opts ...Option) (map[deliveryKey]bool, Stats) {
-	t.Helper()
-	base := []Option{
-		WithQueueSize(len(events) + 1), // no overflow: drop-oldest never fires
-		WithReplayBuffer(0),
-		WithMatchParallelism(1),
-	}
-	b := New(preparedThematic(t), append(base, opts...)...)
-
-	handles := make([]*Subscriber, len(subs))
-	for i, s := range subs {
-		h, err := b.Subscribe(s)
-		if err != nil {
-			t.Fatalf("subscribe %q: %v", s.ID, err)
-		}
-		handles[i] = h
-	}
-	for i, e := range events {
-		if i == len(events)/2 {
-			for j := 0; j < len(handles); j += 3 {
-				handles[j].Close()
-			}
-		}
-		if err := b.Publish(e); err != nil {
-			t.Fatalf("publish %q: %v", e.ID, err)
-		}
-	}
-	st := b.Stats()
-	b.Close()
-
-	got := make(map[deliveryKey]bool)
-	for _, h := range handles {
-		for d := range h.C() {
-			got[deliveryKey{d.SubscriptionID, d.Event.ID, d.Score}] = true
-		}
-	}
-	return got, st
-}
-
 // TestPruningDeliveryEquivalence is the pruning acceptance criterion: over a
 // seeded mixed-theme workload grid, the pruned broker's delivery set —
 // including exact scores — is bit-identical to the unpruned scan, while the
@@ -126,8 +87,8 @@ func TestPruningDeliveryEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 17, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			subs, events := mixedThemeWorkload(t, seed)
-			pruned, prunedStats := runBroker(t, subs, events)
-			full, fullStats := runBroker(t, subs, events, WithPruning(false))
+			pruned, prunedStats := runBrokerWith(t, thematicMatcher(t), subs, events, 1, WithMatchParallelism(1))
+			full, fullStats := runBrokerWith(t, thematicMatcher(t), subs, events, 1, WithMatchParallelism(1), WithPruning(false))
 
 			if len(pruned) != len(full) {
 				t.Errorf("delivery counts differ: pruned %d, full %d", len(pruned), len(full))
@@ -161,10 +122,10 @@ func TestPruningDeliveryEquivalence(t *testing.T) {
 }
 
 // TestPruningDisabledForPlainMatchers verifies the conservative gate: a
-// matcher without the prepare-once contract is never pruned, so baselines
-// with looser exact-term semantics keep full-scan behavior.
+// MatchFunc is never pruned, so baselines with looser exact-term semantics
+// keep full-scan behavior.
 func TestPruningDisabledForPlainMatchers(t *testing.T) {
-	b := New(exactMatcher()) // pruning defaults on, but no PreparedMatcher
+	b := New(exactMatcher()) // pruning defaults on, but a MatchFunc is pairwise
 	defer b.Close()
 	if b.index != nil {
 		t.Fatal("plain matcher got a pruning index")

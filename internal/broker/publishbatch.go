@@ -10,136 +10,11 @@ import (
 	"thematicep/internal/telemetry"
 )
 
-// StreamMatcher extends BatchMatcher with batch-scope matching contexts:
-// one opaque context prepares every event of a publish batch (interning
-// each distinct term once), and opaque per-worker arenas persist the
-// similarity-row memo across all chunks and events of the batch. Scores
-// must remain bit-identical to ScorePrepared — the contexts are purely an
-// amortization capability. FinishBatch releases the context and reports
-// the batch's amortization counters. matcher.Matcher satisfies it through
-// the PreparedStream adapter.
-type StreamMatcher interface {
-	BatchMatcher
-	// NewBatchContext returns an opaque batch-prepare context. Contexts
-	// are single-goroutine; arenas drawn from one may then be used
-	// concurrently (one goroutine each).
-	NewBatchContext() any
-	// PrepareEvBatch is PrepareEv through the context: canonical terms
-	// are interned batch-wide. The result is invalid after FinishBatch.
-	PrepareEvBatch(ctx any, e *event.Event) any
-	// NewBatchArena draws a scoring arena from the context (call on the
-	// context-owning goroutine, before handing the arena to a worker).
-	NewBatchArena(ctx any) any
-	// ScoreBatchArena is ScoreBatchPrepared with the row memo held in the
-	// arena, persisting across calls within the batch.
-	ScoreBatchArena(arena any, subs []any, ev any, out []float64) []float64
-	// FinishBatch invalidates the context and everything drawn from it,
-	// reporting terms interned vs reused and rows computed vs reused.
-	FinishBatch(ctx any) (termsInterned, termsReused, rowsComputed, rowsReused uint64)
-}
-
-// preparedStream adapts typed batch-context methods to StreamMatcher,
-// following the preparedBatch pattern: a distinct type so matchers adapted
-// through Prepared/PreparedBatch never spuriously satisfy the assertion.
-type preparedStream[PS, PE, BC, BA any] struct {
-	preparedBatch[PS, PE]
-	newBatch       func() BC
-	prepareEvBatch func(BC, *event.Event) PE
-	newArena       func(BC) BA
-	scoreArena     func(BA, []PS, PE, []float64) []float64
-	finishBatch    func(BC) (uint64, uint64, uint64, uint64)
-}
-
-func (p *preparedStream[PS, PE, BC, BA]) NewBatchContext() any { return p.newBatch() }
-func (p *preparedStream[PS, PE, BC, BA]) PrepareEvBatch(ctx any, e *event.Event) any {
-	return p.prepareEvBatch(ctx.(BC), e)
-}
-func (p *preparedStream[PS, PE, BC, BA]) NewBatchArena(ctx any) any {
-	return p.newArena(ctx.(BC))
-}
-func (p *preparedStream[PS, PE, BC, BA]) ScoreBatchArena(arena any, subs []any, ev any, out []float64) []float64 {
-	bufp, _ := p.subsPool.Get().(*[]PS)
-	if bufp == nil {
-		bufp = new([]PS)
-	}
-	typed := (*bufp)[:0]
-	for _, s := range subs {
-		typed = append(typed, s.(PS))
-	}
-	out = p.scoreArena(arena.(BA), typed, ev.(PE), out)
-	clear(typed) // drop prepared-subscription references before pooling
-	*bufp = typed[:0]
-	p.subsPool.Put(bufp)
-	return out
-}
-func (p *preparedStream[PS, PE, BC, BA]) FinishBatch(ctx any) (uint64, uint64, uint64, uint64) {
-	return p.finishBatch(ctx.(BC))
-}
-
-// targetScorer is an internal fast path of the batched pipeline: the
-// adapter converts straight from the broker's subscriber slice to its
-// typed prepared subscriptions, skipping the intermediate []any staging
-// that ScoreBatchArena requires (one full pass over every candidate of
-// every chunk). Only the adapters defined in this package can implement it
-// — Subscriber is a broker type — so it is a structural optimization, not
-// part of the public matcher capability ladder.
-type targetScorer interface {
-	ScoreBatchTargets(arena any, targets []*Subscriber, ev any, out []float64) []float64
-}
-
-func (p *preparedStream[PS, PE, BC, BA]) ScoreBatchTargets(arena any, targets []*Subscriber, ev any, out []float64) []float64 {
-	bufp, _ := p.subsPool.Get().(*[]PS)
-	if bufp == nil {
-		bufp = new([]PS)
-	}
-	typed := (*bufp)[:0]
-	for _, s := range targets {
-		typed = append(typed, s.prepared.(PS))
-	}
-	out = p.scoreArena(arena.(BA), typed, ev.(PE), out)
-	clear(typed) // drop prepared-subscription references before pooling
-	*bufp = typed[:0]
-	p.subsPool.Put(bufp)
-	return out
-}
-
-// PreparedStream is PreparedBatch plus the typed batch-context methods
-// (for example *matcher.Matcher's EventBatch machinery):
-//
-//	m := matcher.New(space)
-//	b := broker.New(broker.PreparedStream(
-//		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
-//		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
-//		m.FinishEventBatch))
-func PreparedStream[PS, PE, BC, BA any](
-	score func(*event.Subscription, *event.Event) float64,
-	prepareSub func(*event.Subscription) PS,
-	prepareEv func(*event.Event) PE,
-	scorePrepared func(PS, PE) float64,
-	scoreBatch func([]PS, PE, []float64) []float64,
-	newBatch func() BC,
-	prepareEvBatch func(BC, *event.Event) PE,
-	newArena func(BC) BA,
-	scoreBatchArena func(BA, []PS, PE, []float64) []float64,
-	finishBatch func(BC) (termsInterned, termsReused, rowsComputed, rowsReused uint64),
-) PreparedMatcher {
-	return &preparedStream[PS, PE, BC, BA]{
-		preparedBatch: preparedBatch[PS, PE]{
-			prepared: prepared[PS, PE]{
-				score:         score,
-				prepareSub:    prepareSub,
-				prepareEv:     prepareEv,
-				scorePrepared: scorePrepared,
-			},
-			scoreBatch: scoreBatch,
-		},
-		newBatch:       newBatch,
-		prepareEvBatch: prepareEvBatch,
-		newArena:       newArena,
-		scoreArena:     scoreBatchArena,
-		finishBatch:    finishBatch,
-	}
-}
+// batchChunkSize is the number of candidates in one scoring work item of
+// a PreparedStream matcher: large enough that the scorer's column sweep
+// amortizes per-call work across many subscriptions, small enough that the
+// worker pool still load-balances a skewed candidate set.
+const batchChunkSize = 256
 
 // batchWindowCands bounds how many candidate pointers one PublishBatch
 // window stages at once: large enough that most windows hold many events
@@ -163,23 +38,31 @@ type chunkRef struct {
 	lo, hi int32
 }
 
-// pubBatchBuf is the pooled whole-batch state of one PublishBatch call.
-// Everything a batch touches — prepared events, the flat candidate arena,
-// chunk descriptors, per-worker hit lists, the per-subscriber grouping
-// chains — lives here, so a warm batch allocates nothing. The scoring
-// workers run as a method on this buffer rather than a closure for the
-// same reason.
+// preparedEvent is one event prepared within a publish's batch context,
+// with the canonical tuple terms the pruning index enumerates from.
+type preparedEvent struct {
+	pe            any
+	attrs, values []string
+}
+
+// pubBatchBuf is the pooled whole-batch state of one publish. Everything a
+// publish touches — prepared events, the flat candidate arena, chunk
+// descriptors, per-worker arenas, score scratch and hit lists, the
+// per-subscriber grouping chains — lives here, so a warm publish allocates
+// nothing. The scoring workers run as a method on this buffer rather than
+// a closure for the same reason.
 type pubBatchBuf struct {
 	b        *Broker
-	events   []*event.Event
-	pes      []any           // prepared events, index-aligned with events
+	one      [1]*event.Event // Publish's batch of one
+	pes      []preparedEvent // index-aligned with events
 	flat     []*Subscriber   // window candidate buffer (index path) or snapshot (scan path)
 	perEvent [][]*Subscriber // per-event candidate views of the current window
 	ends     []int
 	chunks   []chunkRef
 	winStart int32 // global index of the current window's first event
 	cursor   atomic.Int64
-	arenas   []any // per-worker scoring arenas (stream matchers)
+	arenas   []any       // per-worker scoring arenas
+	scores   [][]float64 // per-worker score scratch
 	hits     [][]batchHit
 	merged   []batchHit
 	head     map[*Subscriber]int32 // subscriber -> last hit index in merged
@@ -207,12 +90,14 @@ const pubBufLimit = 4
 // acquirePubBuf pops a warm batch buffer off the broker's free list, or
 // builds a fresh one when the list is empty.
 func (b *Broker) acquirePubBuf() *pubBatchBuf {
+	var buf *pubBatchBuf
 	select {
-	case buf := <-b.pubBufs:
-		return buf
+	case buf = <-b.pubBufs:
 	default:
-		return newPubBatchBuf()
+		buf = newPubBatchBuf()
 	}
+	buf.b = b
+	return buf
 }
 
 // release drops every pointer the batch held and returns the buffer to its
@@ -221,7 +106,7 @@ func (b *Broker) acquirePubBuf() *pubBatchBuf {
 func (buf *pubBatchBuf) release() {
 	b := buf.b
 	buf.b = nil
-	buf.events = nil
+	buf.one[0] = nil
 	clear(buf.pes)
 	buf.pes = buf.pes[:0]
 	clear(buf.flat)
@@ -248,34 +133,27 @@ func (buf *pubBatchBuf) release() {
 	}
 }
 
-// abort unwinds a PublishBatch that failed validation: the batch context
-// is discarded without crediting its counters (nothing was admitted) and
-// the buffer returns to the pool.
-func (buf *pubBatchBuf) abort(ctx any, pes []any, err error) error {
-	if ctx != nil {
-		buf.b.stream.FinishBatch(ctx)
-	}
-	buf.pes = pes
+// abort unwinds a publish that was not admitted: the batch context is
+// closed without crediting its counters and the buffer returns to the
+// free list.
+func (buf *pubBatchBuf) abort(ctx any) {
+	buf.b.m.finish(ctx)
 	buf.release()
-	return fmt.Errorf("broker: publish batch: %w", err)
 }
 
-// validateCanonical checks the event-model invariants from already
-// canonicalized tuple terms — the batched path's allocation-free
-// equivalent of Event.Validate (tuple counts are small, so the quadratic
-// duplicate scan beats a map).
-func validateCanonical(e *event.Event, attrs, values []string) error {
-	for i, a := range attrs {
-		if a == "" || values[i] == "" {
-			return fmt.Errorf("%w: %q", event.ErrEmptyTerm, e.Tuples[i])
-		}
-		for j := 0; j < i; j++ {
-			if attrs[j] == a {
-				return fmt.Errorf("%w: %q", event.ErrDuplicateAttr, e.Tuples[i].Attr)
-			}
-		}
+// Publish matches one event against the subscriptions and enqueues its
+// deliveries. It is a PublishBatch of one: the same validation, admission
+// control, pipeline pass and errors. It returns only after every match
+// decision and delivery of the event is done, and it never blocks on slow
+// consumers: when a subscriber's queue is full, the oldest queued delivery
+// is dropped (counted in Stats.Dropped).
+func (b *Broker) Publish(e *event.Event) error {
+	if e == nil {
+		return ErrNilEvent
 	}
-	return nil
+	buf := b.acquirePubBuf()
+	buf.one[0] = e
+	return b.publish(buf, buf.one[:])
 }
 
 // PublishBatch publishes a batch of events through one amortized pipeline
@@ -283,23 +161,20 @@ func validateCanonical(e *event.Event, attrs, values []string) error {
 // shares its scratch across the batch, scoring workers pull (event, chunk)
 // work items from one cursor with batch-scope similarity-row memos, and
 // deliveries are coalesced so each matched subscriber's queue lock is
-// taken once per batch instead of once per match. Delivery sets — which
-// subscriber receives which events with which scores, and the per-
-// subscriber event order — are identical to calling Publish serially over
-// the slice (scores bit-identical, same scoring code); see DESIGN.md §14
-// for the argument and for what is intentionally coarser (stage
-// histograms observe per batch, deliveries share one admission timestamp
-// per subscriber group, and the whole batch is one trace-sampling unit —
-// a sampled batch records one trace with aggregate stage spans plus
-// per-event child spans, indexed by every member event ID).
+// taken once per batch instead of once per match. Each subscriber
+// receives its deliveries in event order, with scores bit-identical to the
+// matcher's scalar scorer; see DESIGN.md §14 for the argument and for what
+// is intentionally coarse (stage histograms observe per call, deliveries
+// share one admission timestamp per subscriber group, and the whole batch
+// is one trace-sampling unit — a sampled batch records one trace with
+// aggregate stage spans plus per-event child spans, indexed by every
+// member event ID).
 //
 // Admission is all-or-nothing: the batch is validated up front and either
 // every event is admitted (nil return) or none is. Like Publish it never
 // blocks on slow consumers.
 func (b *Broker) PublishBatch(events []*event.Event) error {
-	t0 := b.clock.Now()
-	n := len(events)
-	if n == 0 {
+	if len(events) == 0 {
 		return nil
 	}
 	for _, e := range events {
@@ -307,81 +182,59 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 			return ErrNilEvent
 		}
 	}
+	return b.publish(b.acquirePubBuf(), events)
+}
 
-	buf := b.acquirePubBuf()
-	buf.b = b
-	buf.events = events
+// publish is the one pipeline pass behind Publish and PublishBatch. It
+// takes ownership of buf and releases it.
+func (b *Broker) publish(buf *pubBatchBuf, events []*event.Event) error {
+	t0 := b.clock.Now()
+	n := len(events)
 
 	// Prepare and validate in one pass: the batch context's interner
-	// yields the canonical terms validation needs, so the batched path
-	// never canonicalizes a term twice. (Cleanup on failure goes through
-	// the abort method, not a closure — closures capturing batch state
-	// would cost the warm path its zero-allocation property.)
-	var ctx any
-	pes := buf.pes[:0]
-	if b.prep != nil {
-		if b.stream != nil {
-			ctx = b.stream.NewBatchContext()
-			for _, e := range events {
-				pe := b.stream.PrepareEvBatch(ctx, e)
-				if ct, ok := pe.(canonicalTupler); ok {
-					attrs, values := ct.CanonicalTuples()
-					if len(attrs) == 0 {
-						return buf.abort(ctx, pes, event.ErrNoTuples)
-					}
-					if err := validateCanonical(e, attrs, values); err != nil {
-						return buf.abort(ctx, pes, err)
-					}
-				} else if err := e.Validate(); err != nil {
-					return buf.abort(ctx, pes, err)
-				}
-				pes = append(pes, pe)
-			}
-		} else {
-			for _, e := range events {
-				if err := e.Validate(); err != nil {
-					return buf.abort(ctx, pes, err)
-				}
-				pes = append(pes, b.prep.PrepareEv(e))
-			}
+	// yields the canonical terms validation needs, so no term is
+	// canonicalized twice. (Cleanup on failure goes through the abort
+	// method, not a closure — closures capturing batch state would cost
+	// the warm path its zero-allocation property.)
+	ctx := b.m.begin()
+	for _, e := range events {
+		pe, attrs, values, err := b.m.prepare(ctx, e)
+		if err != nil {
+			buf.abort(ctx)
+			return fmt.Errorf("broker: publish: %w", err)
 		}
-	} else {
-		for _, e := range events {
-			if err := e.Validate(); err != nil {
-				return buf.abort(ctx, pes, err)
-			}
-		}
+		buf.pes = append(buf.pes, preparedEvent{pe: pe, attrs: attrs, values: values})
 	}
-	buf.pes = pes
+	tPrepared := b.clock.Now()
 
-	// Admission control, one decision for the whole batch (see Publish for
-	// the inflight/draining ordering argument). A shed batch counts every
-	// event in Stats.Shed so event-granularity accounting stays comparable
-	// with the serial path.
+	// Admission control, one decision for the whole call. The inflight
+	// count is incremented before the draining check so Drain's
+	// wait-for-zero cannot miss a racing publish: any publish that passes
+	// the check is visible to the poll. A shed call counts every event in
+	// Stats.Shed.
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	if b.draining.Load() {
-		if ctx != nil {
-			b.stream.FinishBatch(ctx)
-		}
-		buf.release()
+		buf.abort(ctx)
 		return ErrDraining
 	}
 	if w := b.cfg.shedWatermark; w > 0 && b.sem != nil &&
 		len(b.sem) == cap(b.sem) && b.inflight.Load() > int64(w) {
+		// The helper budget is exhausted and more publishes are in flight
+		// than the watermark allows: shed this one instead of queueing
+		// onto a saturated matcher. Counted, surfaced, never silent.
 		b.shed.Add(uint64(n))
-		if ctx != nil {
-			b.stream.FinishBatch(ctx)
-		}
-		buf.release()
+		buf.abort(ctx)
 		return ErrOverloaded
 	}
 
-	// The whole batch is one sampling unit; member event IDs are collected
-	// only when tracing is enabled at all, keeping the default batch path
-	// free of trace work (and of this one slice allocation).
+	// A batch is one sampling unit; its member event IDs are collected
+	// only when tracing is enabled at all, keeping the default path free
+	// of trace work (and of this one slice allocation).
 	var trace *telemetry.ActiveTrace
-	if b.tracer != nil {
+	if n == 1 {
+		trace = b.tracer.StartAt(events[0].ID, t0)
+	} else if b.tracer != nil {
 		ids := make([]string, n)
 		for i, e := range events {
 			ids[i] = e.ID
@@ -392,10 +245,7 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		if ctx != nil {
-			b.stream.FinishBatch(ctx)
-		}
-		buf.release()
+		buf.abort(ctx)
 		return ErrClosed
 	}
 	if b.cfg.replaySize > 0 {
@@ -418,8 +268,9 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 	b.batches.Add(1)
 	b.batchSizeHist.Observe(float64(n))
 	tEnum := b.clock.Now()
-	b.compileHist.ObserveDuration(tEnum.Sub(t0))
-	trace.AddSpanDuration("compile", t0, tEnum.Sub(t0))
+	b.compileHist.ObserveDuration(tPrepared.Sub(t0))
+	trace.AddSpanDuration("compile", t0, tPrepared.Sub(t0))
+	trace.AddSpanDuration("ingest", tPrepared, tEnum.Sub(tPrepared))
 
 	// Candidate enumeration and scoring, interleaved over windows of
 	// consecutive events. A whole-batch candidate arena at the 100k tier
@@ -432,24 +283,20 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 	// candidate pointers is windowed. Within a window, workers pull
 	// (event, chunk) items off one cursor with no per-event barrier.
 	nw := b.cfg.parallelism
-	if nw < 1 {
-		nw = 1
-	}
 	for len(buf.hits) < nw {
 		buf.hits = append(buf.hits, nil)
+		buf.scores = append(buf.scores, nil)
 	}
-	if b.stream != nil && ctx != nil {
-		// Arenas must be drawn on the context-owning goroutine, before any
-		// workers start; they persist across every window of the batch.
-		for w := 0; w < nw; w++ {
-			buf.arenas = append(buf.arenas, b.stream.NewBatchArena(ctx))
-		}
+	// Arenas must be drawn on the context-owning goroutine, before any
+	// workers start; they persist across every window of the batch.
+	for w := 0; w < nw; w++ {
+		buf.arenas = append(buf.arenas, b.m.arena(ctx))
 	}
 	fullScan := b.index == nil || empty
 	var enumDur, scoreDur time.Duration
 	totalCands := 0
 	for lo := 0; lo < n; {
-		tEnum := b.clock.Now()
+		tWin := b.clock.Now()
 		perEvent := buf.perEvent[:0]
 		ends := buf.ends[:0]
 		hi := lo
@@ -457,13 +304,7 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 			buf.flat = buf.flat[:0] // window staging buffer, reused
 			for hi < n && (hi == lo || len(buf.flat) < batchWindowCands) {
 				start := len(buf.flat)
-				var pruned int
-				if ct, ok := pes[hi].(canonicalTupler); ok {
-					attrs, values := ct.CanonicalTuples()
-					_, pruned = b.index.CandidatesPrepared(attrs, values, buf.add)
-				} else {
-					_, pruned = b.index.Candidates(events[hi], buf.add)
-				}
+				_, pruned := b.index.CandidatesPrepared(buf.pes[hi].attrs, buf.pes[hi].values, buf.add)
 				b.pruned.Add(uint64(pruned))
 				ends = append(ends, len(buf.flat))
 				b.candHist.Observe(float64(len(buf.flat) - start))
@@ -491,22 +332,19 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 		buf.perEvent = perEvent
 		buf.ends = ends
 		tScore := b.clock.Now()
-		enumDur += tScore.Sub(tEnum)
+		enumDur += tScore.Sub(tWin)
 
 		chunks := buf.chunks[:0]
 		for i := range perEvent {
 			m := len(perEvent[i])
-			for clo := 0; clo < m; clo += batchChunkSize {
-				chunks = append(chunks, chunkRef{ei: int32(lo + i), lo: int32(clo), hi: int32(min(clo+batchChunkSize, m))})
+			for clo := 0; clo < m; clo += b.chunk {
+				chunks = append(chunks, chunkRef{ei: int32(lo + i), lo: int32(clo), hi: int32(min(clo+b.chunk, m))})
 			}
 		}
 		buf.chunks = chunks
 		buf.winStart = int32(lo)
 		buf.cursor.Store(0)
-		nww := nw
-		if nww > len(chunks) {
-			nww = len(chunks)
-		}
+		nww := min(nw, len(chunks))
 		if nww <= 1 || b.sem == nil {
 			buf.work(0)
 		} else {
@@ -571,28 +409,26 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 		b.offerBatch(s, events, g)
 	}
 
-	if ctx != nil {
-		ti, tr, rc, rr := b.stream.FinishBatch(ctx)
-		b.batchTermsInterned.Add(ti)
-		b.batchTermsReused.Add(tr)
-		b.batchRowsComputed.Add(rc)
-		b.batchRowsReused.Add(rr)
-	}
+	ti, tr, rc, rr := b.m.finish(ctx)
+	b.batchTermsInterned.Add(ti)
+	b.batchTermsReused.Add(tr)
+	b.batchRowsComputed.Add(rc)
+	b.batchRowsReused.Add(rr)
 	end := b.clock.Now()
 	b.deliverHist.ObserveDuration(end.Sub(tDeliver))
 	b.publishHist.ObserveDuration(end.Sub(t0))
 	b.deliverySLO.ObserveN(end.Sub(t0), n)
 	if trace != nil {
 		trace.AddSpanDuration("deliver", tDeliver, end.Sub(tDeliver))
-		// Per-event child spans: each member shares the batch's amortized
-		// admission-to-delivery latency. Capped so a huge batch cannot
-		// bloat the trace ring; the Events list still names every member.
-		const maxChildSpans = 64
-		for i, e := range events {
-			if i == maxChildSpans {
-				break
+		if n > 1 {
+			// Per-event child spans: each member shares the batch's
+			// amortized admission-to-delivery latency. Capped so a huge
+			// batch cannot bloat the trace ring; the Events list still
+			// names every member.
+			const maxChildSpans = 64
+			for _, e := range events[:min(n, maxChildSpans)] {
+				trace.AddSpanDuration("event:"+e.ID, t0, end.Sub(t0))
 			}
-			trace.AddSpanDuration("event:"+e.ID, t0, end.Sub(t0))
 		}
 		trace.Finish()
 	}
@@ -601,20 +437,17 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 }
 
 // work is one scoring worker: it pulls chunk descriptors off the shared
-// cursor and appends above-threshold scores to its private hit list. It is
-// called once per window — hit lists accumulate across windows and are
-// only reset when the buffer is released. Workers with a stream arena keep
-// their row memo across every chunk they touch; otherwise scoring falls
-// back to the per-chunk batch scorer or the serial prepared/plain scorers,
-// exactly as dispatch does.
+// cursor, scores each chunk through its own arena — whose row memo
+// persists across every chunk it touches — and appends above-threshold
+// scores to its private hit list. It is called once per window; hit lists
+// accumulate across windows and are only reset when the buffer is
+// released.
 func (buf *pubBatchBuf) work(wid int) {
 	b := buf.b
 	hits := buf.hits[wid]
-	var arena any
-	if wid < len(buf.arenas) {
-		arena = buf.arenas[wid]
-	}
-	sb := batchScorePool.Get().(*batchScoreBuf)
+	scores := buf.scores[wid]
+	arena := buf.arenas[wid]
+	threshold := b.cfg.threshold
 	for {
 		c := int(buf.cursor.Add(1)) - 1
 		if c >= len(buf.chunks) {
@@ -622,50 +455,15 @@ func (buf *pubBatchBuf) work(wid int) {
 		}
 		ch := buf.chunks[c]
 		targets := buf.perEvent[ch.ei-buf.winStart][ch.lo:ch.hi]
-		threshold := b.cfg.threshold
-		if len(buf.pes) > 0 {
-			pe := buf.pes[ch.ei]
-			var scores []float64
-			if arena != nil && b.streamT != nil {
-				// Fast path: the adapter reads the subscriber slice
-				// directly, skipping the []any staging pass.
-				scores = b.streamT.ScoreBatchTargets(arena, targets, pe, sb.scores[:0])
-			} else {
-				subs := sb.subs[:0]
-				for _, s := range targets {
-					subs = append(subs, s.prepared)
-				}
-				switch {
-				case arena != nil:
-					scores = b.stream.ScoreBatchArena(arena, subs, pe, sb.scores[:0])
-				case b.batch != nil:
-					scores = b.batch.ScoreBatchPrepared(subs, pe, sb.scores[:0])
-				default:
-					scores = sb.scores[:0]
-					for _, sp := range subs {
-						scores = append(scores, b.prep.ScorePrepared(sp, pe))
-					}
-				}
-				clear(subs)
-				sb.subs = subs[:0]
-			}
-			for k, s := range targets {
-				if sc := scores[k]; sc >= threshold && sc > 0 {
-					hits = append(hits, batchHit{s: s, ei: ch.ei, score: sc})
-				}
-			}
-			sb.scores = scores[:0]
-		} else {
-			e := buf.events[ch.ei]
-			for _, s := range targets {
-				if sc := b.matcher.Score(s.sub, e); sc >= threshold && sc > 0 {
-					hits = append(hits, batchHit{s: s, ei: ch.ei, score: sc})
-				}
+		scores = b.m.score(arena, targets, buf.pes[ch.ei].pe, scores[:0])
+		for k, s := range targets {
+			if sc := scores[k]; sc >= threshold && sc > 0 {
+				hits = append(hits, batchHit{s: s, ei: ch.ei, score: sc})
 			}
 		}
 	}
-	batchScorePool.Put(sb)
 	buf.hits[wid] = hits
+	buf.scores[wid] = scores[:0]
 }
 
 // sortHitsByEvent restores ascending event order within one subscriber's

@@ -13,124 +13,78 @@ import (
 	"thematicep/internal/workload"
 )
 
-func preparedStreamThematic(t testing.TB) PreparedMatcher {
-	m := matcher.New(evalSpace(t))
-	return PreparedStream(
-		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
-		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
-		m.FinishEventBatch)
-}
-
-// runBrokerBatched mirrors runBrokerWith — same subscription churn at the
-// same midpoint — but publishes through PublishBatch in batches of bs, so
-// its delivery set must be bit-identical to the serial Publish loop.
-func runBrokerBatched(t *testing.T, pm Matcher, subs []*event.Subscription, events []*event.Event, bs int, opts ...Option) (map[deliveryKey]bool, Stats) {
-	t.Helper()
-	base := []Option{
-		WithQueueSize(len(events) + 1),
-		WithReplayBuffer(0),
-	}
-	b := New(pm, append(base, opts...)...)
-
-	handles := make([]*Subscriber, len(subs))
-	for i, s := range subs {
-		h, err := b.Subscribe(s)
-		if err != nil {
-			t.Fatalf("subscribe %q: %v", s.ID, err)
-		}
-		handles[i] = h
-	}
-	publishAll := func(evs []*event.Event) {
-		for lo := 0; lo < len(evs); lo += bs {
-			hi := min(lo+bs, len(evs))
-			if err := b.PublishBatch(evs[lo:hi]); err != nil {
-				t.Fatalf("publish batch [%d:%d]: %v", lo, hi, err)
-			}
-		}
-	}
-	mid := len(events) / 2
-	publishAll(events[:mid])
-	for j := 0; j < len(handles); j += 3 {
-		handles[j].Close()
-	}
-	publishAll(events[mid:])
-	st := b.Stats()
-	b.Close()
-
-	got := make(map[deliveryKey]bool)
-	for _, h := range handles {
-		for d := range h.C() {
-			got[deliveryKey{d.SubscriptionID, d.Event.ID, d.Score}] = true
-		}
-	}
-	return got, st
-}
-
-// TestPublishBatchEquivalence is the batched-pipeline acceptance
-// criterion: PublishBatch must produce the exact delivery set — including
-// bit-identical scores — of the serial Publish loop, across every matcher
-// capability tier (stream context, plain batch scorer, prepared-only,
-// plain Matcher), serial and parallel dispatch, pruned and full-scan.
+// TestPublishBatchEquivalence is the publish pipeline's acceptance
+// criterion: every way of driving the one pipeline must produce exactly
+// the oracle's delivery set, scores bit-identical, each subscriber's
+// deliveries in publish order. It covers batches of one (through Publish),
+// of 7 and of the whole run; one and four workers; pruned and full-scan
+// candidates; and the MatchFunc matcher, whose oracle is its own function.
 func TestPublishBatchEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			subs, events := mixedThemeWorkload(t, seed)
-			serial, serialStats := runBrokerWith(t, preparedThematic(t), subs, events, WithMatchParallelism(1))
-
-			stream, streamStats := runBrokerBatched(t, preparedStreamThematic(t), subs, events, 7, WithMatchParallelism(1))
-			diffDeliveries(t, "stream serial-dispatch", serial, stream)
-
-			streamPar, _ := runBrokerBatched(t, preparedStreamThematic(t), subs, events, 7, WithMatchParallelism(4))
-			diffDeliveries(t, "stream parallel", serial, streamPar)
-
-			streamFull, _ := runBrokerBatched(t, preparedStreamThematic(t), subs, events, 7, WithMatchParallelism(4), WithPruning(false))
-			diffDeliveries(t, "stream full-scan", serial, streamFull)
-
-			// Whole run as one batch per half: maximal cross-event sharing.
-			streamBig, _ := runBrokerBatched(t, preparedStreamThematic(t), subs, events, len(events), WithMatchParallelism(4))
-			diffDeliveries(t, "stream one-batch", serial, streamBig)
-
-			// Capability fallbacks: batch scorer without stream contexts,
-			// prepared-only, and the plain Matcher path.
-			batchOnly, _ := runBrokerBatched(t, preparedBatchThematic(t), subs, events, 7, WithMatchParallelism(4))
-			diffDeliveries(t, "batch fallback", serial, batchOnly)
-
-			prepOnly, _ := runBrokerBatched(t, preparedThematic(t), subs, events, 7, WithMatchParallelism(4))
-			diffDeliveries(t, "prepared fallback", serial, prepOnly)
-
 			m := matcher.New(evalSpace(t))
-			plainSerial, _ := runBrokerWith(t, Prepared(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared), subs, events, WithMatchParallelism(1))
-			_ = plainSerial
-			plainBatch, _ := runBrokerBatched(t, MatchFunc(m.Score), subs, events, 7, WithMatchParallelism(4))
-			plainLoop, _ := runBrokerWith(t, plainAdapter{m}, subs, events, WithMatchParallelism(1))
-			diffDeliveries(t, "plain matcher", plainLoop, plainBatch)
-
-			if streamStats.Matched != serialStats.Matched || streamStats.Scanned != serialStats.Scanned ||
-				streamStats.Published != serialStats.Published || streamStats.Delivered != serialStats.Delivered {
-				t.Errorf("stats differ: stream %+v, serial %+v", streamStats, serialStats)
+			cases := []struct {
+				name   string
+				engine func() matchEngine
+				want   map[deliveryKey]bool
+			}{
+				{"stream", func() matchEngine { return thematicMatcher(t) },
+					oracleDeliveries(subs, events, scorePrepared(t, subs, events))},
+				{"matchfunc", func() matchEngine { return MatchFunc(m.Score) },
+					oracleDeliveries(subs, events, func(si, ei int) float64 { return m.Score(subs[si], events[ei]) })},
 			}
-			if streamStats.Batches == 0 {
-				t.Error("stream broker recorded no batches")
-			}
-			if streamStats.BatchRowsReused == 0 {
-				t.Error("batch-scope memo reused no rows over a term-skewed workload")
+			for _, c := range cases {
+				if len(c.want) == 0 {
+					t.Fatalf("%s: oracle found no deliveries; equivalence is vacuous", c.name)
+				}
+				var prunedScanned uint64
+				for _, bs := range []int{1, 7, len(events)} {
+					for _, par := range []int{1, 4} {
+						for _, pruning := range []bool{true, false} {
+							label := fmt.Sprintf("%s batch=%d parallel=%d pruning=%v", c.name, bs, par, pruning)
+							got, st := runBrokerWith(t, c.engine(), subs, events, bs,
+								WithMatchParallelism(par), WithPruning(pruning))
+							diffDeliveries(t, label, c.want, got)
+							if st.Published != uint64(len(events)) || st.Matched != uint64(len(c.want)) ||
+								st.Delivered != st.Matched {
+								t.Errorf("%s: stats %+v, want %d published and %d matched and delivered",
+									label, st, len(events), len(c.want))
+							}
+							// One pass per call; the runner splits the run at
+							// its midpoint unsubscribe.
+							mid := len(events) / 2
+							if want := uint64((mid+bs-1)/bs + (len(events)-mid+bs-1)/bs); st.Batches != want {
+								t.Errorf("%s: %d pipeline passes, want %d", label, st.Batches, want)
+							}
+							if c.name == "stream" && pruning {
+								// Pruning is a property of the candidate set,
+								// not of how the events are grouped.
+								if prunedScanned == 0 {
+									prunedScanned = st.Scanned
+								} else if st.Scanned != prunedScanned {
+									t.Errorf("%s: scanned %d, other pruned runs %d", label, st.Scanned, prunedScanned)
+								}
+								if st.Pruned == 0 {
+									t.Errorf("%s: pruned no candidates", label)
+								}
+								if bs > 1 && st.BatchRowsReused == 0 {
+									t.Errorf("%s: batch-scope memo reused no rows over a term-skewed workload", label)
+								}
+							}
+						}
+					}
+				}
 			}
 		})
 	}
 }
 
-// plainAdapter exposes only the plain Matcher interface so the serial
-// broker exercises the unprepared Score path for comparison with the
-// batched plain path.
-type plainAdapter struct{ m *matcher.Matcher }
-
-func (p plainAdapter) Score(s *event.Subscription, e *event.Event) float64 { return p.m.Score(s, e) }
-
 // TestPublishBatchValidation: admission is all-or-nothing, and the
 // batched path enforces exactly Event.Validate's invariants (through the
 // interner, not a per-event map).
 func TestPublishBatchValidation(t *testing.T) {
-	b := New(preparedStreamThematic(t), WithReplayBuffer(0))
+	b := New(thematicMatcher(t), WithReplayBuffer(0))
 	defer b.Close()
 	good := &event.Event{ID: "ok", Tuples: []event.Tuple{{Attr: "type", Value: "car"}}}
 
@@ -172,7 +126,7 @@ func TestPublishBatchValidation(t *testing.T) {
 // determinism is covered by the quiescent equivalence tests.)
 func TestPublishBatchChurn(t *testing.T) {
 	subs, events := mixedThemeWorkload(t, 7)
-	b := New(preparedStreamThematic(t), WithReplayBuffer(0), WithMatchParallelism(4), WithQueueSize(8))
+	b := New(thematicMatcher(t), WithReplayBuffer(0), WithMatchParallelism(4), WithQueueSize(8))
 
 	var consumers sync.WaitGroup
 	for _, s := range subs[:len(subs)/2] {
@@ -268,7 +222,7 @@ func TestPublishBatchZeroAlloc(t *testing.T) {
 		Seed: 7, Subscriptions: 300, Events: 32, Attrs: 32, ValuesPerAttr: 16,
 		MaxPredicates: 3, EventTuples: 6, Themes: 4, ExactFraction: 0.8, Zipf: 1.2,
 	})
-	b := New(preparedStreamThematic(t),
+	b := New(thematicMatcher(t),
 		WithReplayBuffer(0), WithMatchParallelism(1), WithQueueSize(16))
 	defer b.Close()
 	for _, s := range w.Subs {
@@ -293,8 +247,46 @@ func TestPublishBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkBrokerPublishBatch measures end-to-end batched publishing
-// against the serial Publish loop over the same scale-tier population.
+// TestPublishZeroAlloc gates the warm single-event path. Publish is a
+// PublishBatch of one, so it inherits the batched path's pooled state and
+// may allocate at most once per event.
+func TestPublishZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode: sync.Pool drops Puts at random, warm path is not alloc-free")
+	}
+	w := workload.GenerateScale(workload.ScaleConfig{
+		Seed: 7, Subscriptions: 300, Events: 32, Attrs: 32, ValuesPerAttr: 16,
+		MaxPredicates: 3, EventTuples: 6, Themes: 4, ExactFraction: 0.8, Zipf: 1.2,
+	})
+	b := New(thematicMatcher(t),
+		WithReplayBuffer(0), WithMatchParallelism(1), WithQueueSize(16))
+	defer b.Close()
+	for _, s := range w.Subs {
+		if _, err := b.Subscribe(s); err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+	}
+	publishAll := func() {
+		for _, e := range w.Events {
+			if err := b.Publish(e); err != nil {
+				t.Fatalf("publish: %v", err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ { // warm interners, memos, pools, map buckets
+		publishAll()
+	}
+	if perEvent := testing.AllocsPerRun(20, publishAll) / float64(len(w.Events)); perEvent > 1 {
+		t.Errorf("warm Publish: %.2f allocs/event, want at most 1", perEvent)
+	}
+	if st := b.Stats(); st.Matched == 0 {
+		t.Fatal("workload produced no matches; the gate is vacuous")
+	}
+}
+
+// BenchmarkBrokerPublishBatch measures end-to-end publishing over a
+// scale-tier population: "serial" is one Publish (a batch of one) per
+// event, "batched" one PublishBatch of the whole event set.
 func BenchmarkBrokerPublishBatch(b *testing.B) {
 	w := workload.GenerateScale(workload.ScaleConfig{
 		Seed: 7, Subscriptions: 2000, Events: 64, Attrs: 64, ValuesPerAttr: 32,
@@ -302,7 +294,7 @@ func BenchmarkBrokerPublishBatch(b *testing.B) {
 		ApproxOnlyFraction: 0.01, Zipf: 1.2,
 	})
 	newBroker := func() *Broker {
-		br := New(preparedStreamThematic(b), WithReplayBuffer(0), WithQueueSize(1))
+		br := New(thematicMatcher(b), WithReplayBuffer(0), WithQueueSize(1))
 		for _, s := range w.Subs {
 			if _, err := br.Subscribe(s); err != nil {
 				b.Fatalf("subscribe: %v", err)

@@ -26,18 +26,12 @@ type SubHandle interface {
 
 // Backend is the pub/sub engine a Server fronts. The local Broker is the
 // default; a cluster node substitutes itself to add theme-routed
-// federation without the server knowing.
+// federation without the server knowing. publishb frames arrive through
+// PublishBatch as whole batches, with all-or-nothing admission.
 type Backend interface {
 	Publish(e *event.Event) error
-	SubscribeHandle(sub *event.Subscription, opts ...SubscribeOption) (SubHandle, error)
-}
-
-// BatchBackend is the optional batched-ingest extension of Backend: a
-// backend implementing it receives publishb frames as whole batches
-// (all-or-nothing admission); otherwise the server falls back to a serial
-// Publish loop that stops at the first error.
-type BatchBackend interface {
 	PublishBatch(events []*event.Event) error
+	SubscribeHandle(sub *event.Subscription, opts ...SubscribeOption) (SubHandle, error)
 }
 
 // DefaultMaxBatch caps how many events one publishb frame may carry unless
@@ -323,18 +317,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					Error: fmt.Sprintf("batch of %d events exceeds server cap %d", len(f.Events), mb)})
 				continue
 			}
-			be := s.getBackend()
-			var err error
-			if bb, ok := be.(BatchBackend); ok {
-				err = bb.PublishBatch(f.Events)
-			} else {
-				for _, e := range f.Events {
-					if err = be.Publish(e); err != nil {
-						break
-					}
-				}
-			}
-			if err != nil {
+			if err := s.getBackend().PublishBatch(f.Events); err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
 			}

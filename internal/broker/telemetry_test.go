@@ -13,7 +13,7 @@ import (
 
 // advancingMatcher advances a manual clock by d on every Score call, so
 // pipeline stage durations are exact and bucket placement is deterministic.
-func advancingMatcher(clk *telemetry.Manual, d time.Duration) Matcher {
+func advancingMatcher(clk *telemetry.Manual, d time.Duration) MatchFunc {
 	return MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
 		clk.Advance(d)
 		if event.ExactMatch(s, e) {

@@ -82,7 +82,10 @@ type Frame struct {
 	Addr string `json:"addr,omitempty"`
 	// At is the broker's admission timestamp on delivery frames, letting
 	// downstream consumers (the query engine, latency probes) measure
-	// event-to-detection latency.
+	// event-to-detection latency. On federation frames it is the origin's
+	// publish instant (forward, forwardb) or the instant the subscription
+	// was made at its home node (subscribe), so an owner never delivers an
+	// event published before the subscription it matches.
 	At time.Time `json:"at,omitempty"`
 	// Query is the continuous-query definition on query frames.
 	Query *QuerySpec `json:"query,omitempty"`

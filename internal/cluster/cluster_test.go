@@ -25,7 +25,7 @@ type testNode struct {
 	addr string
 }
 
-func exactMatcher() broker.Matcher {
+func exactMatcher() broker.MatchFunc {
 	return broker.MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
 		if event.ExactMatch(s, e) {
 			return 1

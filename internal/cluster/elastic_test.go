@@ -637,3 +637,66 @@ func TestElasticChaosSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d distinct events delivered, %d dupes, injector %+v", total, dupes, inj.Stats())
 }
+
+// TestForwardPublishedBeforeSubscriptionWithheld is the soak's restart
+// duplicate in isolation: a forward that sat on a backlogged link while a
+// subscription was made must reach neither a remote copy (its home's
+// subscribe instant rides the subscribe frame) nor a federated
+// subscription homed on the receiving node. Forwards from peers that
+// stamp no publish instant are delivered as before.
+func TestForwardPublishedBeforeSubscriptionWithheld(t *testing.T) {
+	tn := startCluster(t, 1)[0]
+	parking := []event.Predicate{{Attr: "type", Value: "parking"}}
+	local, err := tn.node.SubscribeHandle(&event.Subscription{ID: "local-sub", Predicates: parking})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+
+	conn, err := net.Dial("tcp", tn.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	homeSince := time.Now()
+	forward := func(id string, at time.Time) *broker.Frame {
+		return &broker.Frame{Type: broker.FrameForward, NodeID: "127.0.0.1:1", At: at,
+			Event: &event.Event{ID: id, Tuples: []event.Tuple{{Attr: "type", Value: "parking"}}}}
+	}
+	for _, f := range []*broker.Frame{
+		{Type: broker.FrameHello, NodeID: "127.0.0.1:1"},
+		{Type: broker.FrameSubscribe, NodeID: "127.0.0.1:1", At: homeSince,
+			Subscription: &event.Subscription{ID: "remote-sub", Predicates: parking}},
+		forward("stale", homeSince.Add(-time.Second)),
+		forward("unstamped", time.Time{}),
+		forward("fresh", homeSince.Add(time.Second)),
+	} {
+		if err := broker.WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := []string{"unstamped", "fresh"}
+	var remote []string
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for len(remote) < len(want) {
+		f, err := broker.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("reading deliveries for the remote copy: %v (got %v)", err, remote)
+		}
+		if f.Type == broker.FrameDelivery {
+			remote = append(remote, f.Event.ID)
+		}
+	}
+	for i, id := range want {
+		if remote[i] != id {
+			t.Errorf("remote copy delivery %d = %s, want %s (all: %v)", i, remote[i], id, remote)
+		}
+		if d := recvDelivery(t, local.C()); d.Event.ID != id {
+			t.Errorf("local subscription delivery %d = %s, want %s", i, d.Event.ID, id)
+		}
+	}
+	if got := tn.node.Stats().Withheld; got != 2 {
+		t.Errorf("withheld = %d, want 2 (the stale forward, once per subscription)", got)
+	}
+}

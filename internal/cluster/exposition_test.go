@@ -26,7 +26,10 @@ func TestFullStackExpositionLints(t *testing.T) {
 	space := semantics.NewSpace(index.Build(corpus.GenerateDefault()))
 	m := matcher.New(space)
 	b := broker.New(
-		broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+		broker.PreparedStream(
+			m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
+			m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
+			m.FinishEventBatch),
 		broker.WithThreshold(0.1),
 		broker.WithTraceSampling(1),
 	)

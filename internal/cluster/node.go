@@ -128,6 +128,7 @@ type Stats struct {
 	Forwarded        uint64 // events enqueued toward peer shards
 	Received         uint64 // forwarded events accepted from peers
 	Deduped          uint64 // duplicate deliveries suppressed by event ID
+	Withheld         uint64 // deliveries of forwarded events published before their subscription
 	PeerReconnects   uint64 // successful peer connections after a drop
 	QueueDrops       uint64 // forwards dropped by the bounded peer queues
 	ForwardsShed     uint64 // forwards shed because a peer's breaker was not closed
@@ -179,8 +180,21 @@ type Node struct {
 	ctrQueueDrops atomic.Uint64
 	ctrShed       atomic.Uint64
 	ctrRemoteDel  atomic.Uint64
+	ctrWithheld   atomic.Uint64
 	remoteSubs    atomic.Int64
+
+	// fwdMu guards fwdAt, the origin publish instant of recently
+	// received forwards keyed by event ID, and fwdOrder, its FIFO for
+	// window eviction (see publishedBefore).
+	fwdMu    sync.RWMutex
+	fwdAt    map[string]time.Time
+	fwdOrder []string
 }
+
+// forwardedWindow bounds how many forwarded events' publish instants a
+// node remembers. An evicted entry only disables the publishedBefore
+// check for that event, so the bound trades memory for at-least-once.
+const forwardedWindow = 4096
 
 // New wraps a local broker in a federation node. The node does not dial
 // anyone until Start.
@@ -198,6 +212,7 @@ func New(b *broker.Broker, cfg Config) (*Node, error) {
 		peers:      make(map[string]*peer),
 		edges:      make(map[string]*edgeSub),
 		reaperDone: make(chan struct{}),
+		fwdAt:      make(map[string]time.Time, forwardedWindow),
 	}
 	n.ringPtr.Store(NewRing(n.ms.RingMembers(), c.VirtualNodes))
 	for _, m := range n.ms.Snapshot() {
@@ -531,6 +546,7 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 	if cp.ID == "" {
 		cp.ID = fmt.Sprintf("%s/s%d", n.id, n.nextSub.Add(1))
 	}
+	since := n.broker.Clock().Now()
 	local, err := n.broker.Subscribe(&cp, opts...)
 	if err != nil {
 		return nil, err
@@ -540,6 +556,7 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 		node:  n,
 		id:    cp.ID,
 		sub:   &cp,
+		since: since,
 		local: local,
 		ch:    make(chan broker.Delivery, n.cfg.QueueSize),
 		seen:  make(map[string]bool, n.cfg.DedupWindow),
@@ -609,16 +626,16 @@ func (n *Node) nudgePeers(ids []string) {
 	}
 }
 
-// desiredFor returns the subscriptions that should be registered on a
-// given peer shard, keyed by subscription ID.
-func (n *Node) desiredFor(peerID string) map[string]*event.Subscription {
+// desiredFor returns the federated subscriptions that should be
+// registered on a given peer shard, keyed by subscription ID.
+func (n *Node) desiredFor(peerID string) map[string]*edgeSub {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[string]*event.Subscription)
+	out := make(map[string]*edgeSub)
 	for id, e := range n.edges {
 		for _, o := range e.owners {
 			if o == peerID {
-				out[id] = e.sub
+				out[id] = e
 				break
 			}
 		}
@@ -644,6 +661,54 @@ func (n *Node) handleRemoteDelivery(f *broker.Frame) {
 			At:             f.At,
 		})
 	}
+}
+
+// noteForwarded records the origin publish instant of forwarded events
+// before they enter the local broker, for publishedBefore. Frames from
+// peers that do not stamp it (zero at) record nothing.
+func (n *Node) noteForwarded(at time.Time, evs ...*event.Event) {
+	if at.IsZero() {
+		return
+	}
+	n.fwdMu.Lock()
+	for _, e := range evs {
+		if e == nil || e.ID == "" {
+			continue
+		}
+		if _, ok := n.fwdAt[e.ID]; !ok {
+			n.fwdOrder = append(n.fwdOrder, e.ID)
+		}
+		n.fwdAt[e.ID] = at
+	}
+	for len(n.fwdOrder) > forwardedWindow {
+		delete(n.fwdAt, n.fwdOrder[0])
+		n.fwdOrder = n.fwdOrder[1:]
+	}
+	n.fwdMu.Unlock()
+}
+
+// publishedBefore reports, and counts as withheld, a live delivery of a
+// forwarded event that its origin published before since, the instant
+// the receiving subscription was made at its home. Such an event sat on
+// a backlogged forward link while the subscription was made, so it is
+// not owed to it. After a home restart the event has usually already
+// reached the previous incarnation. That incarnation's dedup window died
+// with it, so nothing else would stop a second delivery. The check
+// compares the origin's clock with the home's, so it assumes
+// synchronized clocks; a skew only moves the cut among events published
+// within the skew of the subscribe instant.
+func (n *Node) publishedBefore(d broker.Delivery, since time.Time) bool {
+	if d.Replayed || since.IsZero() || d.Event == nil {
+		return false
+	}
+	n.fwdMu.RLock()
+	at, ok := n.fwdAt[d.Event.ID]
+	n.fwdMu.RUnlock()
+	if ok && at.Before(since) {
+		n.ctrWithheld.Add(1)
+		return true
+	}
+	return false
 }
 
 // ServePeer handles one inbound federation connection (a peer that dialed
@@ -710,6 +775,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 			// under the originating trace ID, so the remote fragment joins
 			// the sender's span tree when themctl trace merges the ring.
 			n.broker.Tracer().Adopt(f.Event.ID, f.Trace)
+			n.noteForwarded(f.At, f.Event)
 			// Publish locally only: forwarded events are never
 			// re-forwarded, so federation traffic is a single hop.
 			n.broker.Publish(f.Event)
@@ -722,6 +788,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 			// Batch adoption keys on the first member, matching the
 			// sender's ContextFor convention and StartBatchAt's lookup.
 			n.broker.Tracer().Adopt(f.Events[0].ID, f.Trace)
+			n.noteForwarded(f.At, f.Events...)
 			// Single hop, batched: the whole forward lands in the local
 			// broker through the batched pipeline.
 			n.broker.PublishBatch(f.Events)
@@ -746,10 +813,13 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 			subs[origin] = s
 			n.remoteSubs.Add(1)
 			wg.Add(1)
-			go func(s *broker.Subscriber, origin string) {
+			go func(s *broker.Subscriber, origin string, since time.Time) {
 				defer wg.Done()
 				defer n.remoteSubs.Add(-1)
 				for d := range s.C() {
+					if n.publishedBefore(d, since) {
+						continue
+					}
 					// A failed write means the conn is dying; keep
 					// draining so the broker's queue empties until the
 					// read loop reaps us.
@@ -764,7 +834,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 						n.ctrRemoteDel.Add(1)
 					}
 				}
-			}(s, origin)
+			}(s, origin, f.At)
 
 		case broker.FrameUnsubscribe:
 			if s, ok := subs[f.SubscriptionID]; ok {
@@ -793,6 +863,7 @@ func (n *Node) Stats() Stats {
 		Forwarded:        n.ctrForwarded.Load(),
 		Received:         n.ctrReceived.Load(),
 		Deduped:          n.ctrDeduped.Load(),
+		Withheld:         n.ctrWithheld.Load(),
 		PeerReconnects:   n.ctrReconnects.Load(),
 		QueueDrops:       n.ctrQueueDrops.Load(),
 		ForwardsShed:     n.ctrShed.Load(),
@@ -871,6 +942,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	broker.WriteCounter(w, "thematicep_cluster_forwarded_total", "Events forwarded toward peer shards.", st.Forwarded)
 	broker.WriteCounter(w, "thematicep_cluster_received_total", "Forwarded events accepted from peers.", st.Received)
 	broker.WriteCounter(w, "thematicep_cluster_deduped_total", "Duplicate deliveries suppressed by event ID.", st.Deduped)
+	broker.WriteCounter(w, "thematicep_cluster_withheld_total", "Deliveries withheld because the forwarded event was published before the subscription.", st.Withheld)
 	broker.WriteCounter(w, "thematicep_cluster_peer_reconnects_total", "Peer links re-established after a drop.", st.PeerReconnects)
 	broker.WriteCounter(w, "thematicep_cluster_peer_queue_drops_total", "Forwards dropped by the bounded peer queues.", st.QueueDrops)
 	broker.WriteCounter(w, "thematicep_cluster_forwards_shed_total", "Forwards shed because a peer circuit breaker was not closed.", st.ForwardsShed)
@@ -925,7 +997,8 @@ type edgeSub struct {
 	node   *Node
 	id     string
 	sub    *event.Subscription
-	owners []string // remote shards this subscription is registered on
+	since  time.Time // when the subscription was made here, its home
+	owners []string  // remote shards this subscription is registered on
 	local  *broker.Subscriber
 	ch     chan broker.Delivery
 
@@ -969,6 +1042,9 @@ func (e *edgeSub) Close() {
 // drainLocal feeds local broker matches through the dedup filter.
 func (e *edgeSub) drainLocal() {
 	for d := range e.local.C() {
+		if e.node.publishedBefore(d, e.since) {
+			continue
+		}
 		d.SubscriptionID = e.id
 		e.deliver(d)
 	}

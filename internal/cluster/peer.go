@@ -326,9 +326,9 @@ func (p *peer) run() {
 					alive, linkFailed = false, true
 				}
 			case item := <-p.queue:
-				fr := &broker.Frame{Type: broker.FrameForward, Event: item.ev, NodeID: p.n.id, Trace: item.tc}
+				fr := &broker.Frame{Type: broker.FrameForward, Event: item.ev, NodeID: p.n.id, Trace: item.tc, At: item.enq}
 				if item.evs != nil {
-					fr = &broker.Frame{Type: broker.FrameForwardBatch, Events: item.evs, NodeID: p.n.id, Trace: item.tc}
+					fr = &broker.Frame{Type: broker.FrameForwardBatch, Events: item.evs, NodeID: p.n.id, Trace: item.tc, At: item.enq}
 				}
 				if p.writeFrame(conn, fr) != nil {
 					alive, linkFailed = false, true
@@ -376,11 +376,11 @@ func (p *peer) run() {
 // means a dropped queue entry can never lose a registration.
 func (p *peer) reconcile(conn net.Conn, sent map[string]bool) error {
 	desired := p.n.desiredFor(p.id)
-	for id, sub := range desired {
+	for id, e := range desired {
 		if sent[id] {
 			continue
 		}
-		if err := p.writeFrame(conn, &broker.Frame{Type: broker.FrameSubscribe, Subscription: sub, NodeID: p.n.id}); err != nil {
+		if err := p.writeFrame(conn, &broker.Frame{Type: broker.FrameSubscribe, Subscription: e.sub, NodeID: p.n.id, At: e.since}); err != nil {
 			return err
 		}
 		sent[id] = true

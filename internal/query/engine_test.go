@@ -15,7 +15,7 @@ import (
 var t0 = time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
 
 // exactMatcher scores 1 on exact predicate match, 0 otherwise.
-func exactMatcher() broker.Matcher {
+func exactMatcher() broker.MatchFunc {
 	return broker.MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
 		if event.ExactMatch(s, e) {
 			return 1
@@ -427,6 +427,8 @@ func (s *stubSub) Close() {
 }
 
 func (b *stubBackend) Publish(e *event.Event) error { return nil }
+
+func (b *stubBackend) PublishBatch(evs []*event.Event) error { return nil }
 
 func (b *stubBackend) SubscribeHandle(sub *event.Subscription, opts ...broker.SubscribeOption) (broker.SubHandle, error) {
 	s := &stubSub{id: "stub", ch: make(chan broker.Delivery, 64)}

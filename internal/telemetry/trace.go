@@ -397,8 +397,7 @@ func (t *Tracer) Handler() http.Handler {
 }
 
 // ActiveTrace is one in-progress sampled trace. All methods are safe on a
-// nil receiver (the unsampled case) and safe for concurrent use (parallel
-// dispatch workers may add spans concurrently).
+// nil receiver (the unsampled case) and safe for concurrent use.
 type ActiveTrace struct {
 	t *Tracer
 
